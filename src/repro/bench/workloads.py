@@ -21,17 +21,15 @@ Layers covered:
   cleared before each iteration) and ``.warm`` (cache primed) variants
   where the solver uses tunnels;
 * ``lp``       -- the solve-session tier: a scale sweep solved cold vs
-  carried on one warm LP session, and a single solve on the exact fast
-  backend vs the decomposed (reduced-support) backend;
+  carried on one warm LP session;
 * ``parallel`` -- ``run_ordered`` fan-out overhead, serial vs threads;
 * ``pipeline`` -- simulated-LLM reproduction runs end to end;
 * ``obs``      -- telemetry-tier overhead: labeled metric hot path and
   disabled-span cost (what un-instrumented runs pay);
 * ``fuzz``     -- differential-gate throughput: a fixed case window
   through a fast oracle subset, timed end to end;
-* ``serve``    -- the service tier: a fixed job batch through the
-  in-process pool vs the spawn worker pool (the multi-process speedup
-  pair CI gates on), and the full HTTP submit/wait round trip.
+* ``serve``    -- the service tier: a fixed job batch through the spawn
+  worker pool, and the full HTTP submit/wait round trip.
 
 The module-level helpers (:func:`bdd_profile_workload`,
 :func:`apkeep_update_latency_rows`, :func:`ncflow_scaling_rows`,
@@ -338,10 +336,9 @@ _register_te_benchmarks()
 
 
 # ----------------------------------------------------------------------
-# LP layer: the solve-session tier.  Two explicit pairs: a scale sweep
+# LP layer: the solve-session tier.  One explicit pair: a scale sweep
 # solved cold vs carried on one warm session (``--filter lp.warm``
-# selects exactly the pair), and one solve on the exact fast backend vs
-# the decomposed reduced-support backend (``--filter lp.decomposed``).
+# selects exactly the pair).
 # ----------------------------------------------------------------------
 #: Instance for the warm-vs-cold sweep pair.  Deliberately bigger than
 #: the ``te`` layer default: support reduction only pays once the LP is
@@ -411,50 +408,6 @@ def bench_lp_sweep_cold() -> Dict[str, object]:
 def bench_lp_sweep_warm() -> Dict[str, object]:
     """Warm half of the warm-vs-cold sweep pair."""
     return _lp_sweep(warm=True)
-
-
-def _lp_solve_once(backend_name: str) -> Dict[str, object]:
-    """One pf4 solve on a named LP backend (exact-vs-decomposed pair)."""
-    from repro.lp import get_backend
-    from repro.te.maxflow import solve_max_flow
-
-    instance = _te_instance()
-    solution = solve_max_flow(
-        instance.topology, instance.traffic, backend=get_backend(backend_name)
-    )
-    return {
-        "objective": round(solution.objective, 4),
-        "status": solution.status,
-    }
-
-
-def _prime_lp_solve() -> None:
-    _te_instance()
-    _lp_solve_once("fast")   # fills the tunnel cache, untimed
-
-
-@benchmark(
-    "lp.decomposed_vs_exact.exact",
-    layer="lp",
-    description="pf4 solve on the exact fast backend (decomposed baseline)",
-    setup=_prime_lp_solve,
-    tags=("lp-decomposed", "solver"),
-)
-def bench_lp_exact() -> Dict[str, object]:
-    """Exact half of the decomposed-vs-exact pair."""
-    return _lp_solve_once("fast")
-
-
-@benchmark(
-    "lp.decomposed_vs_exact.decomposed",
-    layer="lp",
-    description="pf4 solve on the decomposed reduced-support backend",
-    setup=_prime_lp_solve,
-    tags=("lp-decomposed", "solver"),
-)
-def bench_lp_decomposed() -> Dict[str, object]:
-    """Decomposed half of the decomposed-vs-exact pair."""
-    return _lp_solve_once("decomposed")
 
 
 def ncflow_scaling_rows(
@@ -795,9 +748,8 @@ def _serve_job_specs():
     from repro.serve import JobSpec
 
     # CPU-bound spin probes with distinct seeds: no store/memo layer
-    # can collapse the batch, and the GIL serializes the in-process
-    # pool while spawn workers run truly parallel -- the property the
-    # CI pair comparison asserts on a multi-core runner.
+    # can collapse the batch, so every iteration runs all of them on
+    # the spawn workers.
     return [
         JobSpec("probe", {"action": "spin"}, seed=index)
         for index in range(_SERVE_JOBS)
@@ -814,41 +766,17 @@ def _serve_batch_checksum(outcomes) -> str:
 
 
 @benchmark(
-    "serve.pool.inprocess", layer="serve",
-    description=f"{_SERVE_JOBS}-job batch through the in-process pool",
-    tags=("serve-pair",),
-)
-def bench_serve_pool_inprocess() -> Dict[str, object]:
-    """Baseline of the CI speedup pair: thread-isolated execution.
-
-    Ordered batch execution on the in-process (watchdog-thread) pool --
-    no process boundary, no pickling.  Compared against
-    ``serve.pool.multiprocess`` on a multi-core runner, this is the
-    side the spawn pool must beat for CPU-bound job mixes.
-    """
-    from repro.serve import run_jobs
-
-    outcomes = run_jobs(_serve_job_specs(), workers=2, mode="inprocess")
-    if not all(outcome.ok for outcome in outcomes):
-        raise AssertionError("serve bench batch had failures")
-    return {"jobs": len(outcomes),
-            "checksum": _serve_batch_checksum(outcomes)}
-
-
-@benchmark(
     "serve.pool.multiprocess", layer="serve",
     description=f"{_SERVE_JOBS}-job batch through the spawn worker pool",
     setup=lambda: __import__("repro.serve", fromlist=["shared_pool"])
     .shared_pool(workers=2).start(),
-    tags=("serve-pair",),
 )
 def bench_serve_pool_multiprocess() -> Dict[str, object]:
-    """The other side of the pair: spawned worker processes.
+    """An ordered batch of spin jobs on spawned worker processes.
 
     Uses the process-wide shared pool (started untimed in ``setup``) so
     iterations time job dispatch + execution + result transport, not
-    interpreter start.  The same ordered batch as the in-process
-    variant; artifact comparison holds the two checksums equal.
+    interpreter start.
     """
     from repro.serve import run_jobs, shared_pool
 
@@ -867,16 +795,16 @@ def bench_serve_pool_multiprocess() -> Dict[str, object]:
 def bench_serve_http_roundtrip() -> Dict[str, object]:
     """Full client-observed service latency for one trivial job.
 
-    One in-process daemon is kept on the function object across
-    iterations (a daemon per iteration would time socket binding, not
-    the service), so the timed body is exactly the client round trip
-    the ``repro submit --wait`` flow performs.
+    One daemon with one spawn worker is kept on the function object
+    across iterations (a daemon per iteration would time socket binding
+    and worker boot, not the service), so the timed body is exactly the
+    client round trip the ``repro submit --wait`` flow performs.
     """
     from repro.serve import ReproDaemon, ServeClient
 
     daemon = getattr(bench_serve_http_roundtrip, "_daemon", None)
     if daemon is None:
-        daemon = ReproDaemon(mode="inprocess", workers=1)
+        daemon = ReproDaemon(workers=1)
         daemon.start()
         bench_serve_http_roundtrip._daemon = daemon
     client = ServeClient(daemon.url)
@@ -977,9 +905,7 @@ def bench_shard_verify_sharded() -> Dict[str, object]:
     from repro.shard import ShardVerifier
 
     dataset = _shard_bench_dataset()
-    verifier = ShardVerifier(
-        dataset, shards=3, mode="process", pool=shared_pool(workers=2)
-    )
+    verifier = ShardVerifier(dataset, shards=3, pool=shared_pool(workers=2))
     document = verifier.comparison_document(_shard_sources())
     return {
         "rules": dataset.total_rules,
@@ -1044,9 +970,7 @@ def _shard_store_verify(variant: str) -> Dict[str, object]:
     from repro.shard import ShardVerifier
 
     dataset = _shard_large_dataset()
-    verifier = ShardVerifier(
-        dataset, shards=2, store=_bench_store(variant), mode="serial"
-    )
+    verifier = ShardVerifier(dataset, shards=2, store=_bench_store(variant))
     return {
         "rules": dataset.total_rules,
         "store_hits": verifier.store_hits,

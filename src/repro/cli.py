@@ -15,8 +15,8 @@ explore the reproduction without writing code:
 * ``te``           -- solve a TE instance with any registry solver
   (``--solver list`` shows them), optionally sweeping demand scales
   in parallel (``--sweep`` / ``--workers``) with an injected LP
-  backend (``--lp-backend``, including the reduced-core ``decomposed``
-  tier) and warm-started sweep points (``--warm-start``);
+  backend (``--lp-backend``) and warm-started sweep points
+  (``--warm-start``);
 * ``motivating``   -- replay the rock-paper-scissors example and play it;
 * ``transcript``   -- run a participant session and dump the markdown
   conversation log;
@@ -44,9 +44,9 @@ explore the reproduction without writing code:
   file;
 * ``serve``        -- run the long-lived reproduction service: an HTTP
   daemon with an admission-controlled job queue fanning out to a
-  multi-process worker pool (``--workers``/``--mode``/
-  ``--queue-limit``/``--job-budget``); with ``--store DIR`` repeat
-  submissions are answered from the artifact store at admission;
+  multi-process worker pool (``--workers``/``--queue-limit``/
+  ``--job-budget``); with ``--store DIR`` repeat submissions are
+  answered from the artifact store at admission;
 * ``submit``       -- submit one job (``campaign``/``solve``/
   ``verify``/``probe``) to a running service and optionally ``--wait``
   for its result;
@@ -218,10 +218,9 @@ def build_parser() -> argparse.ArgumentParser:
                     help="total demand as a fraction of total capacity")
     te.add_argument(
         "--lp-backend",
-        choices=["fast", "slow", "fallback", "decomposed"], default=None,
-        help="inject an LP backend; 'fallback' chains fast then slow, "
-             "'decomposed' solves a reduced core model and prices it to "
-             "the full optimum (default: each solver's own default)",
+        choices=["fast", "slow", "fallback"], default=None,
+        help="inject an LP backend; 'fallback' chains fast then slow "
+             "(default: each solver's own default)",
     )
     te.add_argument(
         "--sweep", metavar="SCALES", default=None,
@@ -467,12 +466,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="worker pool size (default 2)",
     )
     serve.add_argument(
-        "--mode", choices=["process", "inprocess"], default="process",
-        help="worker isolation: 'process' = spawned worker processes "
-             "(a crashed job cannot take the daemon down), 'inprocess' "
-             "= watchdog threads (fast start, shared interpreter)",
-    )
-    serve.add_argument(
         "--queue-limit", type=int, default=64, metavar="N",
         help="admission control: reject submissions once N jobs are "
              "queued (HTTP 429; default 64)",
@@ -713,9 +706,7 @@ def _cmd_verify_sharded(args, out, dataset) -> int:
     from repro.shard import ShardVerifier, StreamingVerifier
     from repro.store import get_default
 
-    verifier = ShardVerifier(
-        dataset, shards=args.shards, mode="serial", store=get_default()
-    )
+    verifier = ShardVerifier(dataset, shards=args.shards, store=get_default())
     plan = verifier.plan
     out.write(
         f"shards: {plan.num_shards} ({plan.strategy}); "
@@ -1269,7 +1260,6 @@ def cmd_serve(args, out) -> int:
         host=args.host,
         port=args.port,
         workers=args.workers,
-        mode=args.mode,
         queue_limit=args.queue_limit,
         default_budget=args.job_budget,
         store=store_mod.get_default(),
@@ -1291,7 +1281,7 @@ def cmd_serve(args, out) -> int:
         pass
     store = store_mod.get_default()
     out.write(
-        f"serving {daemon.url} ({args.mode}, {args.workers} workers, "
+        f"serving {daemon.url} ({args.workers} workers, "
         f"queue limit {args.queue_limit}"
         + (f", store {store.root}" if store is not None else "")
         + ")\n"

@@ -18,8 +18,9 @@ Cases come in three kinds:
   data plane (arbitrary overlapping rules) plus a burst of random rule
   updates, feeding the AP/APKeep/BDD oracles;
 * ``"campaign"``  -- a random service-tier campaign job spec (papers x
-  prompt styles + a seed), feeding the multiprocess-vs-inprocess
-  execution oracle of :mod:`repro.serve`.
+  prompt styles + a seed), feeding the
+  ``campaign.multiprocess-vs-inprocess`` execution oracle of
+  :mod:`repro.serve`.
 
 The generated instance is immediately *serialized* into a plain-JSON
 ``data`` dict (:class:`FuzzCase`), and every consumer -- oracles, the
@@ -304,7 +305,7 @@ def materialize_campaign(data: Dict):
     """``data`` -> a :class:`repro.serve.jobs.JobSpec` campaign job.
 
     The dict maps one-to-one onto the service tier's job-spec params, so
-    the mp-vs-inprocess oracle and the minimizer both work on the same
+    the campaign oracle and the minimizer both work on the same
     plain-JSON document every other consumer uses.
     """
     from repro.serve.jobs import JobSpec

@@ -21,8 +21,6 @@ share one implementation:
   session chain must match per-scale cold solves;
 * ``te.bounds``                -- objective/flow invariants and
   monotonicity in demand scale;
-* ``lp.decomposed-vs-exact``   -- real captured LP models through
-  :func:`repro.lp.lp_discrepancy_gate` with the reduced-core backend;
 * ``ap.vs-apkeep``             -- batch AP vs incremental APKeep atoms
   and per-pair reachability;
 * ``ap.vs-bruteforce``         -- AP reachability vs a per-address
@@ -275,56 +273,6 @@ def _check_warm_equals_cold(case: FuzzCase) -> None:
                     f"exceeds the {'exact' if exact else 'approx'} bound "
                     f"{bound:g}",
                 )
-
-
-class _CapturingSession:
-    """A cold solve session that records every model it is handed.
-
-    Used by the decomposed-vs-exact oracle to harvest the *real* LP
-    models a TE solve builds (rather than synthetic ones), then replay
-    them through :func:`repro.lp.lp_discrepancy_gate`.
-    """
-
-    def __init__(self, backend):
-        from repro.lp.session import SolveSession
-
-        self._inner = SolveSession(backend)
-        self.models = []
-
-    def solve(self, model, warm_start=None):
-        """Record ``model`` and solve it cold on the wrapped backend."""
-        self.models.append(model)
-        return self._inner.solve(model, warm_start)
-
-
-def _check_decomposed_vs_exact(case: FuzzCase) -> None:
-    """The reduced-core backend through the LP discrepancy gate.
-
-    Captures the real path- and edge-formulation models the case builds
-    (across its scale chain) and requires the default exact-pricing
-    :class:`~repro.lp.DecomposedLPBackend` to agree with the fast
-    reference on every one -- status and objective.  ``min_core`` is
-    lowered so decomposition actually engages on fuzz-sized models.
-    """
-    from repro.lp import FastLPBackend
-    from repro.lp.session import DecomposedLPBackend, lp_discrepancy_gate
-    from repro.te.maxflow import solve_max_flow, solve_max_flow_edge
-
-    topology, traffic, scales = generators.materialize_te(case.data)
-    session = _CapturingSession(FastLPBackend())
-    for scale in scales:
-        scaled = traffic.scaled(scale)
-        solve_max_flow(topology, scaled, session=session)
-        solve_max_flow_edge(topology, scaled, session=session)
-    candidate = DecomposedLPBackend(min_core=4, core_fraction=0.25)
-    report = lp_discrepancy_gate(
-        session.models, candidate, tolerance=_EXACT_TOL
-    )
-    if not report.clean:
-        findings = "; ".join(
-            d.explanation for d in report.discrepancies
-        )
-        raise OracleFailure("lp.decomposed-vs-exact", findings)
 
 
 def _check_te_bounds(case: FuzzCase) -> None:
@@ -669,7 +617,7 @@ def _check_bdd_profiles(case: FuzzCase) -> None:
 # ----------------------------------------------------------------------
 # Campaign (service tier) oracles
 # ----------------------------------------------------------------------
-def _check_multiprocess_vs_inprocess(case: FuzzCase) -> None:
+def _check_campaign_pool_vs_local(case: FuzzCase) -> None:
     """The same campaign job executed in-process vs in a spawn worker.
 
     The service tier's core determinism claim: where a job runs must
@@ -690,7 +638,7 @@ def _check_multiprocess_vs_inprocess(case: FuzzCase) -> None:
     if faults.active() is not None:
         return
     spec = generators.materialize_campaign(case.data)
-    inprocess = execute_job(spec)
+    local = execute_job(spec)
     pool = shared_pool(workers=1)
     outcome = run_jobs([spec], pool=pool)[0]
     if not outcome.ok:
@@ -699,10 +647,10 @@ def _check_multiprocess_vs_inprocess(case: FuzzCase) -> None:
             f"worker-pool run failed [{outcome.failure}] "
             f"{outcome.error}: {outcome.message}",
         )
-    if outcome.payload != inprocess:
+    if outcome.payload != local:
         diverging = sorted(
-            key for key in set(inprocess) | set(outcome.payload)
-            if inprocess.get(key) != outcome.payload.get(key)
+            key for key in set(local) | set(outcome.payload)
+            if local.get(key) != outcome.payload.get(key)
         )
         raise OracleFailure(
             "campaign.multiprocess-vs-inprocess",
@@ -823,10 +771,6 @@ register(OracleSpec(
     "objective/flow invariants + monotonicity in demand scale",
 ))
 register(OracleSpec(
-    "lp.decomposed-vs-exact", "te", _check_decomposed_vs_exact,
-    "reduced-core LP backend through the discrepancy gate",
-))
-register(OracleSpec(
     "ap.vs-apkeep", "dataplane", _check_ap_vs_apkeep,
     "batch AP vs incremental APKeep atoms and reachability",
 ))
@@ -856,6 +800,6 @@ register(OracleSpec(
 ))
 register(OracleSpec(
     "campaign.multiprocess-vs-inprocess", "campaign",
-    _check_multiprocess_vs_inprocess,
+    _check_campaign_pool_vs_local,
     "same campaign job in-process vs spawn worker, byte-identical",
 ))

@@ -20,9 +20,7 @@ Both backends return identical optima; only the constant factors differ.
 On top of the one-shot backends sits the *session tier*
 (:mod:`repro.lp.session`): ``backend.session()`` returns a
 :class:`SolveSession` whose solves may warm-start from the previous
-solution's support (:class:`WarmStartSession`), and
-:class:`DecomposedLPBackend` runs the same reduced-model + dual-pricing
-machinery cold from a top-coefficient core.  Sweeps and bisections
+solution's support (:class:`WarmStartSession`).  Sweeps and bisections
 thread one session across their near-identical solves instead of
 solving each point from scratch.
 """
@@ -44,17 +42,10 @@ from repro.lp.backends import (
     SlowLPBackend,
     get_backend,
 )
-from repro.lp.session import (
-    DecomposedLPBackend,
-    SessionStats,
-    SolveSession,
-    WarmStartSession,
-    lp_discrepancy_gate,
-)
+from repro.lp.session import SessionStats, SolveSession, WarmStartSession
 
 __all__ = [
     "ConstraintSense",
-    "DecomposedLPBackend",
     "FastLPBackend",
     "InfeasibleError",
     "LPBackend",
@@ -70,5 +61,4 @@ __all__ = [
     "Variable",
     "WarmStartSession",
     "get_backend",
-    "lp_discrepancy_gate",
 ]

@@ -192,9 +192,7 @@ def get_backend(name: str) -> LPBackend:
 
     ``"fast"``/``"slow"`` are the two stock personalities;
     ``"fallback"`` is the resilience chain ``fast -> slow``
-    (:class:`repro.resilience.FallbackLPBackend`); ``"decomposed"`` is
-    the reduced-core iterative solver
-    (:class:`~repro.lp.session.DecomposedLPBackend`).
+    (:class:`repro.resilience.FallbackLPBackend`).
     """
     normalised = name.lower()
     if normalised in ("fast", "gurobi", "fast-highs"):
@@ -205,10 +203,6 @@ def get_backend(name: str) -> LPBackend:
         from repro.resilience.fallback import FallbackLPBackend
 
         return FallbackLPBackend()
-    if normalised in ("decomposed", "gasplan", "reduced"):
-        from repro.lp.session import DecomposedLPBackend
-
-        return DecomposedLPBackend()
     raise KeyError(f"unknown LP backend {name!r}")
 
 

@@ -1,4 +1,4 @@
-"""Incremental LP solve sessions: warm starts and reduced-model solves.
+"""Incremental LP solve sessions: warm starts from the previous support.
 
 ``scale_sweep``, ``max_feasible_scale``, and NCFlow's residual passes
 re-solve near-identical LPs: same tunnel structure, same constraint
@@ -18,15 +18,6 @@ adds the session tier that exploits the similarity:
   start, so this support-reduction scheme is how a "warm" solve gets
   cheaper here -- and because pricing runs to exactness, the result is
   the true optimum, not an approximation.
-* :class:`DecomposedLPBackend` -- the same machinery run cold: extract
-  a reduced *core* model from the top-|coefficient| variables (the
-  GASPLAN recipe), solve it, then iterate against the full model.  With
-  ``convergence_tolerance > 0`` it may stop early and is approximate;
-  the default prices to exactness.
-* :func:`lp_discrepancy_gate` -- the accuracy gate: solves instances
-  with a candidate and a reference backend and reports objective gaps
-  and status mismatches through the discrepancy machinery, so the
-  approximate tier can only land while it agrees with the exact one.
 
 Correctness rules baked into the pricing loop:
 
@@ -48,8 +39,8 @@ fewer ``lp.solves``" a meaningful CI assertion.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import List, Optional, Sequence
+from dataclasses import dataclass
+from typing import Optional
 
 from repro import obs
 from repro.lp.backends import LPBackend, _STATUS_MAP
@@ -57,6 +48,18 @@ from repro.lp.model import Model, SolveResult, SolveStatus
 
 #: Buckets for the ``lp.reduced_vars`` histogram (kept-column counts).
 _REDUCED_VAR_BUCKETS = (8, 32, 128, 512, 2048, 8192)
+
+#: A previous-solution value above this is support, not numerical dust.
+KEEP_THRESHOLD = 1e-9
+
+#: A reduction keeping at least this share of the columns solves cold.
+MAX_KEEP_FRACTION = 0.95
+
+#: Pricing rounds before a warm solve gives up and falls back to cold.
+MAX_PRICING_ROUNDS = 8
+
+#: A dropped column re-enters when its reduced cost is below minus this.
+PRICING_TOLERANCE = 1e-7
 
 
 @dataclass
@@ -100,46 +103,30 @@ class WarmStartSession(SolveSession):
     """Support-reduction warm starts with an exact dual-pricing loop.
 
     Each solve after the first drops the columns the previous optimum
-    left at a zero lower bound (``keep_threshold`` separates support
-    from numerical dust), solves the reduced LP over all original
-    rows, then re-admits every dropped column whose reduced cost
-    ``c_j - A_ub^T λ_ub - A_eq^T λ_eq`` is below ``-pricing_tolerance``
-    and re-solves, until no column prices out -- at which point the
-    zero-extended reduced optimum is optimal for the full model.
+    left at a zero lower bound (:data:`KEEP_THRESHOLD` separates
+    support from numerical dust), solves the reduced LP over all
+    original rows, then re-admits every dropped column whose reduced
+    cost ``c_j - A_ub^T λ_ub - A_eq^T λ_eq`` is below
+    ``-PRICING_TOLERANCE`` and re-solves, until no column prices out --
+    at which point the zero-extended reduced optimum is optimal for the
+    full model.
 
-    ``warm_start`` overrides the remembered previous result;
-    ``convergence_tolerance > 0`` allows stopping once successive
-    reduced objectives agree to that relative tolerance (approximate
-    mode, used by :class:`DecomposedLPBackend` sessions).  Any reduced
-    status other than OPTIMAL/UNBOUNDED, an exhausted round budget, or
-    a degenerate reduction falls back to a full cold solve.
+    ``warm_start`` overrides the remembered previous result.  Any
+    reduced status other than OPTIMAL/UNBOUNDED, more than
+    :data:`MAX_PRICING_ROUNDS` rounds, or a degenerate reduction falls
+    back to a full cold solve.
 
     The session also *accumulates* support down a chain: every column
     pricing ever re-admitted stays in the kept set for later solves.
     Nearby instances keep dragging the same columns back in, so the
     union makes later solves price out in one round instead of
     re-running the same admission rounds per solve; the
-    ``max_keep_fraction`` guard still demotes a chain whose union
+    :data:`MAX_KEEP_FRACTION` guard still demotes a chain whose union
     creeps toward the full model to plain cold solves.
     """
 
-    def __init__(
-        self,
-        backend: LPBackend,
-        method: str = "highs",
-        keep_threshold: float = 1e-9,
-        max_keep_fraction: float = 0.95,
-        max_pricing_rounds: int = 8,
-        pricing_tolerance: float = 1e-7,
-        convergence_tolerance: float = 0.0,
-    ):
+    def __init__(self, backend: LPBackend):
         super().__init__(backend)
-        self.method = method
-        self.keep_threshold = keep_threshold
-        self.max_keep_fraction = max_keep_fraction
-        self.max_pricing_rounds = max_pricing_rounds
-        self.pricing_tolerance = pricing_tolerance
-        self.convergence_tolerance = convergence_tolerance
         # Union of every column pricing re-admitted this chain; reset
         # whenever the session solves cold (a new chain starts small).
         self._accumulated = None
@@ -162,28 +149,20 @@ class WarmStartSession(SolveSession):
         assembled = model.to_matrices()
         n = assembled.cost.shape[0]
         lowers = np.array([bound[0] for bound in assembled.bounds])
-        keep = (np.asarray(previous.values) > self.keep_threshold) | (
+        keep = (np.asarray(previous.values) > KEEP_THRESHOLD) | (
             lowers != 0.0
         )
         if self._accumulated is not None and len(self._accumulated) == n:
             keep |= self._accumulated
         kept = int(keep.sum())
-        if kept == 0 or kept >= self.max_keep_fraction * n:
+        if kept == 0 or kept >= MAX_KEEP_FRACTION * n:
             return self._cold(model)
 
         backend_name = self.backend.name
         obs.metrics.counter("lp.warm_starts", backend=backend_name).inc()
         self.stats.warm_solves += 1
         result = _pricing_solve(
-            model,
-            assembled,
-            keep,
-            backend_name=backend_name,
-            method=self.method,
-            max_rounds=self.max_pricing_rounds,
-            pricing_tolerance=self.pricing_tolerance,
-            convergence_tolerance=self.convergence_tolerance,
-            stats=self.stats,
+            model, assembled, keep, backend_name=backend_name, stats=self.stats
         )
         if result is None:
             obs.metrics.counter("lp.warm_fallbacks", backend=backend_name).inc()
@@ -206,110 +185,12 @@ class WarmStartSession(SolveSession):
         return result
 
 
-class DecomposedLPBackend(LPBackend):
-    """Reduced-core decomposition solver (the GASPLAN recipe).
-
-    A solve extracts the ``core_fraction`` of variables with the
-    largest objective |coefficient| (plus every variable whose lower
-    bound is nonzero), solves that reduced core over all constraint
-    rows, then iterates the same dual-pricing loop as
-    :class:`WarmStartSession` against the full model.  With the default
-    ``convergence_tolerance=0.0`` the iteration runs until provable
-    optimality; a positive tolerance allows stopping once successive
-    core objectives agree to that relative gap, trading exactness for
-    speed (the :func:`lp_discrepancy_gate` bounds the damage).
-
-    Any reduced status other than OPTIMAL/UNBOUNDED falls back to a
-    full solve on ``base`` (default :class:`~repro.lp.FastLPBackend`),
-    so INFEASIBLE/UNBOUNDED are never masked and never invented.
-    """
-
-    name = "decomposed"
-    supports_warm_start = True
-
-    def __init__(
-        self,
-        base: Optional[LPBackend] = None,
-        core_fraction: float = 0.1,
-        min_core: int = 32,
-        max_pricing_rounds: int = 8,
-        pricing_tolerance: float = 1e-7,
-        convergence_tolerance: float = 0.0,
-    ):
-        if not 0.0 < core_fraction <= 1.0:
-            raise ValueError("core_fraction must be in (0, 1]")
-        from repro.lp.backends import FastLPBackend
-
-        self.base = base if base is not None else FastLPBackend()
-        self.core_fraction = core_fraction
-        self.min_core = min_core
-        self.max_pricing_rounds = max_pricing_rounds
-        self.pricing_tolerance = pricing_tolerance
-        self.convergence_tolerance = convergence_tolerance
-        self.stats = SessionStats()
-
-    @property
-    def approximate(self) -> bool:
-        """True when early stopping may return a sub-optimal objective."""
-        return self.convergence_tolerance > 0.0
-
-    def session(self) -> "WarmStartSession":
-        """A warm session that inherits this backend's pricing knobs."""
-        return WarmStartSession(
-            self,
-            max_pricing_rounds=self.max_pricing_rounds,
-            pricing_tolerance=self.pricing_tolerance,
-            convergence_tolerance=self.convergence_tolerance,
-        )
-
-    def solve(self, model: Model) -> SolveResult:
-        """Solve via core extraction + pricing; full solve when tiny."""
-        import numpy as np
-
-        assembled = model.to_matrices()
-        n = assembled.cost.shape[0]
-        core_size = max(self.min_core, int(np.ceil(self.core_fraction * n)))
-        if n == 0 or core_size >= n:
-            return self._full(model)
-        order = np.argsort(-np.abs(assembled.cost), kind="stable")
-        keep = np.zeros(n, dtype=bool)
-        keep[order[:core_size]] = True
-        keep |= np.array([bound[0] != 0.0 for bound in assembled.bounds])
-        result = _pricing_solve(
-            model,
-            assembled,
-            keep,
-            backend_name=self.name,
-            method="highs",
-            max_rounds=self.max_pricing_rounds,
-            pricing_tolerance=self.pricing_tolerance,
-            convergence_tolerance=self.convergence_tolerance,
-            stats=self.stats,
-        )
-        if result is None:
-            obs.metrics.counter("lp.decomposed.fallbacks").inc()
-            self.stats.fallbacks += 1
-            return self._full(model)
-        return result
-
-    def _full(self, model: Model) -> SolveResult:
-        """Cold solve on the base backend, reported under this name."""
-        result = self.base.solve(model)
-        self.stats.cold_solves += 1
-        result.backend_name = self.name
-        return result
-
-
 def _pricing_solve(
     model: Model,
     assembled,
     keep_mask,
     backend_name: str,
-    method: str,
-    max_rounds: int,
-    pricing_tolerance: float,
-    convergence_tolerance: float,
-    stats: Optional[SessionStats] = None,
+    stats: SessionStats,
 ) -> Optional[SolveResult]:
     """Solve the kept columns, price the dropped ones, repeat.
 
@@ -344,7 +225,6 @@ def _pricing_solve(
     a_ub = assembled.a_ub.tocsc() if assembled.a_ub is not None else None
     a_eq = assembled.a_eq.tocsc() if assembled.a_eq is not None else None
     iterations = 0
-    previous_objective: Optional[float] = None
     outcome: Optional[SolveResult] = None
     with obs.span(
         "lp.session.solve",
@@ -353,11 +233,10 @@ def _pricing_solve(
         vars=n,
         kept=int(keep_mask.sum()),
     ) as sp:
-        for round_index in range(max_rounds):
+        for round_index in range(MAX_PRICING_ROUNDS):
             idx = np.flatnonzero(keep_mask)
-            if stats is not None:
-                stats.pricing_rounds += 1
-                stats.last_reduced_vars = len(idx)
+            stats.pricing_rounds += 1
+            stats.last_reduced_vars = len(idx)
             obs.metrics.counter("lp.reduced_solves", backend=backend_name).inc()
             obs.metrics.histogram(
                 "lp.reduced_vars", buckets=_REDUCED_VAR_BUCKETS,
@@ -370,7 +249,7 @@ def _pricing_solve(
                 A_eq=a_eq[:, idx] if a_eq is not None else None,
                 b_eq=assembled.b_eq,
                 bounds=[assembled.bounds[j] for j in idx],
-                method=method,
+                method="highs",
             )
             iterations += int(getattr(raw, "nit", 0) or 0)
             status = _STATUS_MAP.get(raw.status, SolveStatus.ERROR)
@@ -392,17 +271,11 @@ def _pricing_solve(
             duals_ok, reduced_costs = _reduced_costs(assembled, a_ub, a_eq, raw)
             if not duals_ok:
                 break
-            violating = (~keep_mask) & (reduced_costs < -pricing_tolerance)
-            objective = float(raw.fun)
-            settled = (
-                convergence_tolerance > 0.0
-                and previous_objective is not None
-                and abs(objective - previous_objective)
-                <= convergence_tolerance * max(1.0, abs(objective))
-            )
-            if not violating.any() or settled:
+            violating = (~keep_mask) & (reduced_costs < -PRICING_TOLERANCE)
+            if not violating.any():
                 values = np.zeros(n)
                 values[idx] = raw.x
+                objective = float(raw.fun)
                 full_objective = -objective if assembled.maximize else objective
                 full_objective += assembled.objective_constant
                 outcome = SolveResult(
@@ -412,9 +285,8 @@ def _pricing_solve(
                     iterations=iterations,
                     backend_name=backend_name,
                 )
-                sp.set(rounds=round_index + 1, exact=not bool(violating.any()))
+                sp.set(rounds=round_index + 1)
                 break
-            previous_objective = objective
             keep_mask |= violating
     if outcome is not None:
         outcome.solve_seconds = sp.duration
@@ -435,89 +307,3 @@ def _reduced_costs(assembled, a_ub, a_eq, raw):
             return False, reduced
         reduced -= matrix.T @ np.asarray(marginals)
     return True, reduced
-
-
-@dataclass
-class GateCase:
-    """One instance's candidate-vs-reference comparison."""
-
-    model_name: str
-    reference_status: SolveStatus
-    candidate_status: SolveStatus
-    reference_objective: float
-    candidate_objective: float
-    relative_gap: float
-
-
-def lp_discrepancy_gate(
-    models: Sequence[Model],
-    candidate: LPBackend,
-    reference: Optional[LPBackend] = None,
-    tolerance: float = 0.01,
-):
-    """Accuracy gate for an approximate LP backend.
-
-    Solves every model with ``candidate`` and ``reference`` (default
-    :class:`~repro.lp.FastLPBackend`) and returns a
-    :class:`~repro.core.discrepancy.DiscrepancyReport`:
-
-    * a status mismatch (e.g. the candidate reporting OPTIMAL where the
-      reference is INFEASIBLE, or vice versa) is a finding -- masking
-      or inventing infeasibility is disqualifying regardless of
-      objectives;
-    * an OPTIMAL/OPTIMAL pair whose relative objective gap exceeds
-      ``tolerance`` is a finding.
-
-    ``report.clean`` is the gate verdict; the per-instance
-    :class:`GateCase` list is attached as ``report.cases``.
-    """
-    from repro.core.discrepancy import Discrepancy, DiscrepancyReport, Severity
-    from repro.lp.backends import FastLPBackend
-
-    reference = reference if reference is not None else FastLPBackend()
-    report = DiscrepancyReport(paper_key=f"lp:{candidate.name}")
-    cases: List[GateCase] = []
-    for model in models:
-        ref = reference.solve(model)
-        cand = candidate.solve(model)
-        gap = 0.0
-        if ref.status is SolveStatus.OPTIMAL and cand.status is SolveStatus.OPTIMAL:
-            gap = abs(cand.objective - ref.objective) / max(
-                1.0, abs(ref.objective)
-            )
-        cases.append(GateCase(
-            model_name=model.name,
-            reference_status=ref.status,
-            candidate_status=cand.status,
-            reference_objective=ref.objective,
-            candidate_objective=cand.objective,
-            relative_gap=gap,
-        ))
-        report.instances_analyzed += 1
-        if cand.status is not ref.status:
-            report.discrepancies.append(Discrepancy(
-                kind="result-mismatch",
-                subject=model.name,
-                measured=1.0,
-                threshold=0.0,
-                severity=Severity.FINDING,
-                explanation=(
-                    f"{candidate.name} reported {cand.status.value} where "
-                    f"{reference.name} reported {ref.status.value}"
-                ),
-            ))
-        elif gap > tolerance:
-            report.discrepancies.append(Discrepancy(
-                kind="objective-gap",
-                subject=model.name,
-                measured=gap,
-                threshold=tolerance,
-                severity=Severity.FINDING,
-                explanation=(
-                    f"{candidate.name} objective {cand.objective:.6g} vs "
-                    f"{reference.name} {ref.objective:.6g} "
-                    f"(relative gap {gap:.3%})"
-                ),
-            ))
-    report.cases = cases
-    return report

@@ -7,7 +7,7 @@ process-wide injector (:func:`active`) whether to fail at a named site:
 
 * ``llm.chat``         -- the LLM seam (:class:`~repro.resilience.retry.ResilientLLMClient`);
 * ``lp.solve``         -- every scipy/HiGHS solve (:meth:`LPBackend._run_linprog`);
-* ``lp.session.warm``  -- the reduced-model (warm/decomposed) solve path;
+* ``lp.session.warm``  -- the warm session's reduced-model solve path;
   an injected fault there makes the session fall back to a full cold
   solve, so chaos degrades warm starts without ever corrupting results;
 * ``parallel.task``    -- each task of a :func:`repro.parallel.run_ordered` fan-out;

@@ -8,9 +8,8 @@ concern:
   execution dispatch (campaign, solve, verify, probe), memoized
   through the artifact store;
 * :mod:`repro.serve.pool`    -- the multi-process spawn worker pool
-  with crash/budget supervision, its in-process twin, the ordered
-  :func:`run_jobs` batch helper, and the process-wide
-  :func:`shared_pool`;
+  with crash/budget supervision, the ordered :func:`run_jobs` batch
+  helper, and the process-wide :func:`shared_pool`;
 * :mod:`repro.serve.daemon`  -- the HTTP daemon: admission-controlled
   queue, scheduler, live ``serve.*`` metrics;
 * :mod:`repro.serve.client`  -- the stdlib HTTP client;
@@ -20,7 +19,7 @@ Quick use::
 
     from repro.serve import ReproDaemon, ServeClient
 
-    with ReproDaemon(mode="inprocess", workers=2) as daemon:
+    with ReproDaemon(workers=2) as daemon:
         client = ServeClient(daemon.url)
         job = client.submit("solve", {"instance": "B4", "solver": "pf4"})
         print(client.wait(job["id"])["state"])
@@ -61,10 +60,8 @@ from repro.serve.loadgen import (
 )
 from repro.serve.pool import (
     DEFAULT_WORKERS,
-    InProcessPool,
     JobOutcome,
     WorkerPool,
-    make_pool,
     run_jobs,
     shared_pool,
 )
@@ -78,7 +75,6 @@ __all__ = [
     "DEFAULT_PORT",
     "DEFAULT_QUEUE_LIMIT",
     "DEFAULT_WORKERS",
-    "InProcessPool",
     "JOB_KINDS",
     "JOB_STATES",
     "JobOutcome",
@@ -96,7 +92,6 @@ __all__ = [
     "execute_job_stored",
     "job_key",
     "loadgen_spec",
-    "make_pool",
     "run_jobs",
     "run_loadgen",
     "shared_pool",

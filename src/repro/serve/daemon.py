@@ -45,7 +45,7 @@ from typing import Dict, List, Optional
 from repro import obs
 from repro.obs.http import prometheus_text
 from repro.serve.jobs import JobRecord, JobSpec
-from repro.serve.pool import DEFAULT_WORKERS, make_pool
+from repro.serve.pool import DEFAULT_WORKERS, WorkerPool
 from repro.store import ArtifactStore
 
 #: Default admission-control queue depth limit.
@@ -101,8 +101,7 @@ class _ServeHandler(BaseHTTPRequestHandler):
                 prometheus_text(obs.metrics.snapshot()),
             )
         elif path == "/health":
-            self._send_json(200, {"status": "ok", "mode": daemon.mode,
-                                  "workers": daemon.workers})
+            self._send_json(200, {"status": "ok", "workers": daemon.workers})
         elif path == "/stats":
             self._send_json(200, daemon.stats())
         elif path == "/jobs":
@@ -167,13 +166,11 @@ class _ServeHandler(BaseHTTPRequestHandler):
 class ReproDaemon:
     """The long-lived reproduction service: queue, pool, HTTP, metrics.
 
-    ``mode`` selects the execution tier: ``"process"`` (the spawn
-    :class:`~repro.serve.pool.WorkerPool`, crash-isolated, the real
-    deployment shape) or ``"inprocess"`` (daemon threads, cheap for
-    tests and docs).  ``store`` attaches the artifact store used both
-    for admission-time memoization in the daemon and for
-    content-addressed result writes in the workers.  ``port=0`` binds
-    a free port (read :attr:`url` after :meth:`start`).
+    Jobs run on a spawn :class:`~repro.serve.pool.WorkerPool` of
+    ``workers`` crash-isolated processes.  ``store`` attaches the
+    artifact store used both for admission-time memoization in the
+    daemon and for content-addressed result writes in the workers.
+    ``port=0`` binds a free port (read :attr:`url` after :meth:`start`).
     """
 
     def __init__(
@@ -181,7 +178,6 @@ class ReproDaemon:
         host: str = "127.0.0.1",
         port: int = 0,
         workers: int = DEFAULT_WORKERS,
-        mode: str = "process",
         queue_limit: int = DEFAULT_QUEUE_LIMIT,
         default_budget: Optional[float] = None,
         store: Optional[ArtifactStore] = None,
@@ -190,13 +186,12 @@ class ReproDaemon:
             raise ValueError(f"queue_limit must be >= 1, got {queue_limit}")
         self.host = host
         self.workers = workers
-        self.mode = mode
         self.queue_limit = queue_limit
         self.default_budget = default_budget
         self.store = store
         self._requested_port = port
-        self._pool = make_pool(
-            mode, workers=workers,
+        self._pool = WorkerPool(
+            workers=workers,
             store_root=str(store.root) if store is not None else None,
         )
         self._jobs: Dict[int, JobRecord] = {}
@@ -373,7 +368,6 @@ class ReproDaemon:
             "uptime_seconds": (
                 time.time() - self._started_at if self._started_at else 0.0
             ),
-            "mode": self.mode,
             "workers": self.workers,
             "worker_restarts": self._pool.restarts,
             "queue_depth": queue_depth,

@@ -327,9 +327,7 @@ def _execute_verify(params: Dict) -> Dict:
         # spawn fan-out under it would oversubscribe the host).
         from repro.shard import ShardVerifier
 
-        sharded = ShardVerifier(
-            dataset, shards=params["shards"], mode="serial"
-        )
+        sharded = ShardVerifier(dataset, shards=params["shards"])
         return {
             "ok": True,
             "dataset": params["dataset"],

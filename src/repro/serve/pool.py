@@ -1,4 +1,4 @@
-"""Worker pools: multi-process (spawn) and in-process execution tiers.
+"""The spawn worker pool every service job runs on.
 
 :class:`WorkerPool` is the service's real unlock: ``run_ordered``'s
 thread fan-out is GIL-bound on pure-Python BDD and LP model building,
@@ -15,14 +15,8 @@ Supervision lives in :meth:`WorkerPool.poll`: it drains finished
 results, detects worker hard-crashes (``process.is_alive()`` false
 under a live job -> a ``crash`` outcome, never a dead daemon), kills
 and respawns workers whose job exceeded its wall-clock budget
-(``budget`` outcomes), and keeps the slot count constant.
-
-:class:`InProcessPool` is the same interface on daemon threads with
-the fuzz watchdog's :func:`~repro.fuzz.watchdog.call_with_timeout`
-for budgets -- the single-process baseline the "serve" bench layer
-compares against, and the cheap mode for tests and docs.  It cannot
-survive a hard crash (``os._exit`` takes the whole process); process
-isolation is exactly what :class:`WorkerPool` buys.
+(``budget`` outcomes), and keeps the slot count constant.  A job over
+budget is always stopped, never left running.
 
 :func:`run_jobs` is the ordered batch helper mirroring
 :func:`repro.parallel.run_ordered`: outcomes return in submission
@@ -130,8 +124,6 @@ class WorkerPool:
     handler threads while its scheduler thread polls.
     """
 
-    mode = "process"
-
     def __init__(
         self,
         workers: int = DEFAULT_WORKERS,
@@ -145,6 +137,8 @@ class WorkerPool:
         self._ctx = multiprocessing.get_context(mp_context)
         self._slots = [_Slot(index) for index in range(workers)]
         self._lock = threading.Lock()
+        # Held by run_jobs for a whole batch (see there).
+        self._batch_lock = threading.Lock()
         self._restarts = 0
         self._started = False
 
@@ -316,127 +310,11 @@ class WorkerPool:
                 slot.job_id = None
 
 
-class InProcessPool:
-    """The same pool interface on threads in the daemon's process.
-
-    Budgets use the fuzz watchdog (:func:`call_with_timeout`): an
-    over-budget job is *abandoned* on its daemon thread rather than
-    killed, the honest in-process trade-off the watchdog documents.  A
-    hard crash (``os._exit``) is not survivable here -- that isolation
-    is what :class:`WorkerPool` exists for.
-    """
-
-    mode = "inprocess"
-
-    def __init__(self, workers: int = DEFAULT_WORKERS,
-                 store_root: Optional[str] = None):
-        if workers < 1:
-            raise ValueError(f"workers must be >= 1, got {workers}")
-        self.workers = workers
-        self._store = None
-        if store_root:
-            from repro.store import ArtifactStore
-
-            self._store = ArtifactStore(store_root)
-        self._lock = threading.Lock()
-        self._busy: Dict[int, int] = {}  # slot -> job_id
-        self._results: List[JobOutcome] = []
-        self.restarts = 0
-
-    def start(self) -> "InProcessPool":
-        """No-op (threads start per job); returns ``self``."""
-        return self
-
-    @property
-    def idle_workers(self) -> int:
-        """Slots currently free to accept a job."""
-        with self._lock:
-            return self.workers - len(self._busy)
-
-    @property
-    def busy_workers(self) -> int:
-        """Slots currently executing a job."""
-        with self._lock:
-            return len(self._busy)
-
-    def submit(self, job_id: int, spec: JobSpec) -> int:
-        """Run ``spec`` on a fresh daemon thread in a free slot."""
-        from repro.fuzz.watchdog import CaseTimeout, call_with_timeout
-
-        with self._lock:
-            free = [i for i in range(self.workers) if i not in self._busy]
-            if not free:
-                raise RuntimeError("no idle worker (pool is saturated)")
-            slot = free[0]
-            self._busy[slot] = job_id
-
-        def run() -> None:
-            try:
-                payload = call_with_timeout(
-                    lambda: execute_job_stored(spec, self._store),
-                    spec.budget_seconds,
-                )
-                outcome = JobOutcome(job_id=job_id, ok=True,
-                                     payload=payload, worker=slot)
-            except CaseTimeout:
-                outcome = JobOutcome(
-                    job_id=job_id, ok=False, error="JobBudgetExceeded",
-                    message=(f"job exceeded its {spec.budget_seconds:g}s "
-                             "budget and was abandoned"),
-                    failure="budget", worker=slot,
-                )
-            except BaseException as exc:
-                outcome = JobOutcome(
-                    job_id=job_id, ok=False, error=type(exc).__name__,
-                    message=str(exc), failure="error", worker=slot,
-                )
-            with self._lock:
-                self._busy.pop(slot, None)
-                self._results.append(outcome)
-
-        threading.Thread(
-            target=run, name=f"repro-serve-inproc-{slot}", daemon=True
-        ).start()
-        return slot
-
-    def poll(self, timeout: float = 0.0) -> List[JobOutcome]:
-        """Drain finished outcomes (waits up to ``timeout`` for one)."""
-        deadline = time.monotonic() + max(0.0, timeout)
-        while True:
-            with self._lock:
-                outcomes, self._results = self._results, []
-            if outcomes or time.monotonic() >= deadline:
-                return outcomes
-            time.sleep(_POLL_SLEEP)
-
-    def shutdown(self, timeout: float = 5.0) -> None:
-        """Wait briefly for in-flight jobs; abandons stragglers."""
-        deadline = time.monotonic() + timeout
-        while time.monotonic() < deadline:
-            with self._lock:
-                if not self._busy:
-                    return
-            time.sleep(_POLL_SLEEP)
-
-
-def make_pool(mode: str, workers: int = DEFAULT_WORKERS,
-              store_root: Optional[str] = None):
-    """Construct a pool by mode name (``process`` | ``inprocess``)."""
-    if mode == "process":
-        return WorkerPool(workers=workers, store_root=store_root)
-    if mode == "inprocess":
-        return InProcessPool(workers=workers, store_root=store_root)
-    raise ValueError(
-        f"unknown pool mode {mode!r}; expected 'process' or 'inprocess'"
-    )
-
-
 def run_jobs(
     specs: Sequence[JobSpec],
     workers: int = DEFAULT_WORKERS,
-    mode: str = "process",
     store_root: Optional[str] = None,
-    pool=None,
+    pool: Optional[WorkerPool] = None,
 ) -> List[JobOutcome]:
     """Execute ``specs`` through a pool; outcomes in submission order.
 
@@ -444,24 +322,28 @@ def run_jobs(
     result ``i`` is the outcome of spec ``i`` however completion
     interleaved.  Passing ``pool`` reuses an already-started pool
     (e.g. :func:`shared_pool`) and leaves it running; otherwise a
-    fresh pool is created and shut down.
+    fresh pool is created and shut down.  Batches on one pool take
+    turns: :meth:`WorkerPool.poll` hands an outcome to whichever caller
+    polls, and every batch numbers its jobs from 0, so two interleaved
+    batches would take each other's outcomes.
     """
     own_pool = pool is None
-    target = pool if pool is not None else make_pool(
-        mode, workers=workers, store_root=store_root
+    target = pool if pool is not None else WorkerPool(
+        workers=workers, store_root=store_root
     )
     target.start()
     try:
-        by_id: Dict[int, JobOutcome] = {}
-        next_index = 0
-        while len(by_id) < len(specs):
-            while (next_index < len(specs)
-                   and target.idle_workers > 0):
-                target.submit(next_index, specs[next_index])
-                next_index += 1
-            for outcome in target.poll(timeout=0.1):
-                by_id[outcome.job_id] = outcome
-        return [by_id[index] for index in range(len(specs))]
+        with target._batch_lock:
+            by_id: Dict[int, JobOutcome] = {}
+            next_index = 0
+            while len(by_id) < len(specs):
+                while (next_index < len(specs)
+                       and target.idle_workers > 0):
+                    target.submit(next_index, specs[next_index])
+                    next_index += 1
+                for outcome in target.poll(timeout=0.1):
+                    by_id[outcome.job_id] = outcome
+            return [by_id[index] for index in range(len(specs))]
     finally:
         if own_pool:
             target.shutdown()

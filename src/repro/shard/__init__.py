@@ -52,7 +52,6 @@ from repro.shard.stitch import (
 )
 from repro.shard.streaming import StreamingVerifier
 from repro.shard.verifier import (
-    MODES,
     ShardVerifier,
     artifact_store_key,
     documents_equal,
@@ -60,7 +59,6 @@ from repro.shard.verifier import (
 )
 
 __all__ = [
-    "MODES",
     "SCHEMA",
     "STRATEGIES",
     "NetworkPartitioner",

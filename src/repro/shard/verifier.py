@@ -12,20 +12,15 @@ fuzz oracle ``dataplane.sharded-vs-whole`` holds this continuously);
 forwarding-loop detection is the one query that stays whole-network
 (see :mod:`repro.shard.stitch`).
 
-Three execution modes:
+Where missing artifacts are built follows from the arguments:
 
-``"serial"``
-    Build missing artifacts one after another in this process.  The
-    deterministic baseline tests and fuzz oracles use.
-``"inprocess"``
-    Fan builds out on daemon threads through the serve
-    :class:`~repro.serve.pool.InProcessPool` (GIL-bound; exercises the
-    job path without process start-up).
-``"process"``
-    Fan builds out to spawn workers (``shards`` BDD node tables in
-    ``shards`` separate processes).  Pass ``pool=shared_pool(...)`` to
-    amortize worker boot; this is where sharded beats whole on
-    multi-core.
+* by default, one after another in this process (``mode`` reports
+  ``"serial"``) -- the deterministic baseline tests and fuzz oracles
+  use;
+* with ``workers=N`` or ``pool=...``, fanned out to spawn workers
+  (``mode`` reports ``"process"``), each shard's BDD node table in its
+  own process.  Pass ``pool=shared_pool(...)`` to amortize worker
+  boot; this is where sharded beats whole on multi-core.
 
 Artifacts persist under the ``shard/1/artifact/<fingerprint>`` store
 key family, fingerprinted by (dataset content, shard count, strategy,
@@ -42,7 +37,7 @@ from typing import Dict, List, Optional, Sequence
 from repro import obs
 from repro.netmodel.datasets import VerificationDataset
 from repro.serve.jobs import JobSpec
-from repro.serve.pool import DEFAULT_WORKERS, run_jobs
+from repro.serve.pool import DEFAULT_WORKERS, WorkerPool, run_jobs
 from repro.shard import intervals
 from repro.shard.artifacts import (
     SCHEMA,
@@ -63,9 +58,6 @@ from repro.shard.stitch import (
 )
 from repro.store import ArtifactStore, fingerprint
 
-#: Execution modes for shard artifact builds.
-MODES = ("serial", "inprocess", "process")
-
 
 def artifact_store_key(
     dataset_fp: str, num_shards: int, strategy: str, index: int, profile: str
@@ -81,10 +73,12 @@ class ShardVerifier:
     """Whole-network verification from per-shard artifacts.
 
     Construction partitions, then loads every shard artifact from the
-    store (warm path: no BDD work at all) or builds the misses in the
-    chosen ``mode``; queries are pure interval stitching in the parent
-    process.  ``store_hits`` counts shards served warm -- the
-    cross-process reuse the store tier exists for.
+    store (warm path: no BDD work at all) or builds the misses --
+    serially in this process, or on spawn workers when ``workers`` or
+    ``pool`` is given (``mode`` records which); queries are pure
+    interval stitching in the parent process.  ``store_hits`` counts
+    shards served warm -- the cross-process reuse the store tier exists
+    for.
     """
 
     def __init__(
@@ -94,15 +88,15 @@ class ShardVerifier:
         strategy: str = "bfs",
         profile: str = "jdd",
         store: Optional[ArtifactStore] = None,
-        mode: str = "serial",
         workers: Optional[int] = None,
-        pool=None,
+        pool: Optional[WorkerPool] = None,
     ):
-        if mode not in MODES:
-            raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
         self.dataset = dataset
         self.profile = profile
-        self.mode = mode
+        #: ``"process"`` when builds go to spawn workers, else ``"serial"``.
+        self.mode = (
+            "process" if workers is not None or pool is not None else "serial"
+        )
         self.store = store
         self.plan: ShardPlan = NetworkPartitioner(
             shards, strategy
@@ -113,7 +107,7 @@ class ShardVerifier:
             "shard.build_all",
             dataset=dataset.name,
             shards=self.plan.num_shards,
-            mode=mode,
+            mode=self.mode,
         ) as sp:
             self.artifacts: List[Dict] = self._load_or_build(workers, pool)
             sp.set(store_hits=self.store_hits)
@@ -121,7 +115,7 @@ class ShardVerifier:
         self.ports, self.acl = merge_artifacts(self.artifacts)
         self.adjacency = build_adjacency(self.plan.links)
         self.allocated = allocated_intervals(dataset)
-        obs.metrics.counter("shard.verifiers", mode=mode).inc()
+        obs.metrics.counter("shard.verifiers", mode=self.mode).inc()
 
     # ------------------------------------------------------------------
     # Artifact acquisition
@@ -168,7 +162,7 @@ class ShardVerifier:
         pool,
     ) -> None:
         """Build the artifacts ``missing`` names, honouring ``mode``."""
-        if self.mode == "serial" and pool is None:
+        if self.mode == "serial":
             for index in missing:
                 artifacts[index] = build_shard_artifact(
                     self.dataset,
@@ -200,7 +194,6 @@ class ShardVerifier:
         outcomes = run_jobs(
             specs,
             workers=workers or min(len(missing), DEFAULT_WORKERS),
-            mode="inprocess" if self.mode == "inprocess" else "process",
             pool=pool,
         )
         for index, outcome in zip(missing, outcomes):

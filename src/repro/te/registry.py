@@ -58,7 +58,7 @@ class SolverCapabilities:
     thread an LP :class:`~repro.lp.SolveSession` across repeated solves
     (sweeps and bisections exploit this).  ``approximate`` marks
     solvers whose objective may fall short of the LP optimum by design
-    (FPTAS rounds, early-stopping decompositions).
+    (FPTAS rounds, ncflow's cluster decomposition).
 
     ``warm_start_exact`` qualifies ``supports_warm_start``: when True,
     a warm session chain is an optimisation only and must reproduce

@@ -1,10 +1,9 @@
 """Tests for the incremental LP solve-session tier.
 
 Covers the warm-start correctness contract (a warm session solve is
-*exactly* as optimal as a cold one, to LP tolerance), the decomposed
-backend's agreement with the exact fast path, the never-mask rules for
-INFEASIBLE/UNBOUNDED, the accuracy gate, and the warm sweep plumbing
-(fewer full solves, deterministic parallel chunking, fail-soft
+*exactly* as optimal as a cold one, to LP tolerance), the never-mask
+rules for INFEASIBLE/UNBOUNDED on the warm path, and the warm sweep
+plumbing (fewer full solves, deterministic parallel chunking, fail-soft
 collection).
 """
 
@@ -14,16 +13,14 @@ from hypothesis import strategies as st
 
 from repro import obs
 from repro.lp import (
-    DecomposedLPBackend,
     FastLPBackend,
     LinExpr,
     Model,
     SolveSession,
     WarmStartSession,
     get_backend,
-    lp_discrepancy_gate,
 )
-from repro.lp.model import SolveResult, SolveStatus
+from repro.lp.model import SolveStatus
 from repro.netmodel.topology import Topology
 from repro.netmodel.traffic import TrafficMatrix
 from repro.parallel import TaskFailure
@@ -51,19 +48,36 @@ def knapsack_model(name="knap", rhs=12.0, num_vars=40):
     return model
 
 
-def infeasible_model():
-    model = Model("infeasible")
-    x = model.add_var(name="x", upper=1.0)
-    model.add_constraint(x >= 2.0)
-    model.maximize(x)
-    return model
+def support_model(
+    name="support", last_upper=1.0, last_gain=-1.0, head_upper=1.0
+):
+    """40 columns whose optimum uses only ``x0..x3``.
+
+    The first four columns (upper bound 1) earn 1 each and the rest
+    cost 1 each, so the optimum is 4.0 with 36 columns at zero: a warm
+    solve from it keeps 4 of 40 columns and has to price the rest.
+    ``last_upper``/``last_gain`` reshape the dropped column ``x39``;
+    ``head_upper`` reshapes the kept column ``x0``.
+    Returns ``(model, variables)`` so tests can add rows.
+    """
+    model = Model(name)
+    variables = [model.add_var(name="x0", upper=head_upper)]
+    variables += [model.add_var(name=f"x{i}", upper=1.0) for i in range(1, 39)]
+    variables.append(model.add_var(name="x39", upper=last_upper))
+    model.maximize(
+        LinExpr.sum_of(variables[:4])
+        - LinExpr.sum_of(variables[4:39])
+        + last_gain * variables[39]
+    )
+    return model, variables
 
 
-def unbounded_model():
-    model = Model("unbounded")
-    x = model.add_var(name="x")
-    model.maximize(x)
-    return model
+def warm_from_support():
+    """A warm session whose remembered optimum is :func:`support_model`'s."""
+    session = WarmStartSession(FastLPBackend())
+    seed = session.solve(support_model()[0])
+    assert seed.objective == pytest.approx(4.0)
+    return session
 
 
 @st.composite
@@ -115,7 +129,7 @@ class TestBaseSession:
         assert session.last is second
 
     def test_every_backend_hands_out_a_session(self):
-        for name in ("fast", "slow", "fallback", "decomposed"):
+        for name in ("fast", "slow", "fallback"):
             session = get_backend(name).session()
             result = session.solve(knapsack_model())
             assert result.status is SolveStatus.OPTIMAL
@@ -152,22 +166,52 @@ class TestWarmStartSession:
         assert session.stats.warm_solves == 0
 
     def test_warm_infeasible_is_reported_not_masked(self):
-        session = WarmStartSession(FastLPBackend())
-        session.solve(knapsack_model(num_vars=1))
-        model = Model("infeasible")
-        x = model.add_var(name="x", upper=1.0)
-        model.add_constraint(x >= 2.0)
-        model.maximize(x)
+        # x0 is in the kept support, so the reduced LP is infeasible
+        # too; that proves nothing about the full model, so the session
+        # falls back and the cold solve reports the real INFEASIBLE.
+        session = warm_from_support()
+        model, variables = support_model("infeasible")
+        model.add_constraint(variables[0] >= 2.0)
         result = session.solve(model)
+        assert session.stats.warm_solves == 1
+        assert session.stats.fallbacks == 1
         assert result.status is SolveStatus.INFEASIBLE
 
+    def test_warm_starved_row_falls_back_to_cold_optimum(self):
+        # The row only touches the dropped x39, so the reduced LP is
+        # infeasible while the full model is not: the session must not
+        # report INFEASIBLE, it must fall back to the cold optimum.
+        session = warm_from_support()
+        model, variables = support_model("starved")
+        model.add_constraint(variables[39] >= 1.0)
+        result = session.solve(model)
+        assert session.stats.warm_solves == 1
+        assert session.stats.fallbacks == 1
+        assert result.status is SolveStatus.OPTIMAL
+        assert result.objective == pytest.approx(3.0)
+
     def test_warm_unbounded_is_reported(self):
-        session = WarmStartSession(FastLPBackend())
-        model = Model("seed")
-        x = model.add_var(name="x", upper=3.0)
-        model.maximize(x)
-        session.solve(model)
-        result = session.solve(unbounded_model())
+        # Pricing re-admits the dropped, now unbounded x39; the reduced
+        # ray zero-extends to the full model, so UNBOUNDED is honest.
+        session = warm_from_support()
+        model, _ = support_model(
+            "unbounded", last_upper=float("inf"), last_gain=1.0
+        )
+        result = session.solve(model)
+        assert session.stats.warm_solves == 1
+        assert session.stats.fallbacks == 0
+        assert session.stats.pricing_rounds == 2
+        assert result.status is SolveStatus.UNBOUNDED
+
+    def test_warm_unbounded_kept_column_is_reported(self):
+        # The unbounded x0 is in the kept support, so the first reduced
+        # solve already finds the ray: UNBOUNDED without any pricing.
+        session = warm_from_support()
+        model, _ = support_model("unbounded-kept", head_upper=float("inf"))
+        result = session.solve(model)
+        assert session.stats.warm_solves == 1
+        assert session.stats.fallbacks == 0
+        assert session.stats.pricing_rounds == 1
         assert result.status is SolveStatus.UNBOUNDED
 
     def test_warm_metrics_never_touch_lp_solves(self):
@@ -220,107 +264,6 @@ class TestWarmStartSession:
         snapshot = obs.metrics.snapshot()
         assert snapshot["lp.session.faults"]["value"] >= 1
         assert snapshot["lp.warm_fallbacks"]["value"] >= 1
-
-
-class TestDecomposedBackend:
-    def test_matches_exact_backend(self):
-        fast = FastLPBackend()
-        decomposed = DecomposedLPBackend()
-        for rhs in (12.0, 9.0, 15.0):
-            model = knapsack_model(rhs=rhs)
-            exact = fast.solve(knapsack_model(rhs=rhs))
-            reduced = decomposed.solve(model)
-            assert reduced.status is SolveStatus.OPTIMAL
-            assert reduced.objective == pytest.approx(
-                exact.objective, rel=1e-7, abs=1e-7
-            )
-            assert reduced.backend_name == "decomposed"
-
-    def test_infeasible_never_invented_or_masked(self):
-        result = DecomposedLPBackend().solve(infeasible_model())
-        assert result.status is SolveStatus.INFEASIBLE
-
-    def test_unbounded_reported(self):
-        model = Model("unbounded-wide")
-        variables = model.add_vars(64, upper=1.0)
-        free = model.add_var(name="free")
-        model.maximize(LinExpr.sum_of(variables) + free)
-        result = DecomposedLPBackend().solve(model)
-        assert result.status is SolveStatus.UNBOUNDED
-
-    def test_core_fraction_validated(self):
-        with pytest.raises(ValueError):
-            DecomposedLPBackend(core_fraction=0.0)
-        with pytest.raises(ValueError):
-            DecomposedLPBackend(core_fraction=1.5)
-
-    def test_approximate_flag_follows_tolerance(self):
-        assert not DecomposedLPBackend().approximate
-        assert DecomposedLPBackend(convergence_tolerance=1e-3).approximate
-
-    def test_registered_with_get_backend(self):
-        for alias in ("decomposed", "gasplan", "reduced"):
-            assert isinstance(get_backend(alias), DecomposedLPBackend)
-
-    def test_tiny_model_falls_through_to_full_solve(self):
-        # core covers everything -> plain base solve, still correct.
-        model = Model("tiny")
-        x = model.add_var(name="x", upper=2.0)
-        model.maximize(x)
-        result = DecomposedLPBackend(min_core=32).solve(model)
-        assert result.objective == pytest.approx(2.0)
-
-    def test_warm_fault_degrades_to_full_solve(self):
-        # The decomposed reduced solve shares the lp.session.warm fault
-        # site: under chaos it falls back to the full model and the
-        # answer still matches the exact backend.
-        backend = DecomposedLPBackend(min_core=4, core_fraction=0.25)
-        plan = FaultPlan(seed=1, rate=1.0, sites=("lp.session.warm",))
-        with chaos(plan):
-            reduced = backend.solve(knapsack_model())
-        exact = FastLPBackend().solve(knapsack_model())
-        assert reduced.status is SolveStatus.OPTIMAL
-        assert reduced.objective == pytest.approx(
-            exact.objective, rel=1e-7, abs=1e-7
-        )
-
-
-class TestDiscrepancyGate:
-    def test_clean_on_honest_backend(self):
-        models = [knapsack_model(rhs=rhs) for rhs in (12.0, 9.0)]
-        report = lp_discrepancy_gate(models, DecomposedLPBackend())
-        assert report.clean
-        assert report.instances_analyzed == 2
-        assert len(report.cases) == 2
-
-    def test_flags_objective_gap(self):
-        class Liar(FastLPBackend):
-            name = "liar"
-
-            def solve(self, model):
-                result = super().solve(model)
-                result.objective *= 0.5
-                return result
-
-        report = lp_discrepancy_gate([knapsack_model()], Liar())
-        assert not report.clean
-        assert report.discrepancies[0].kind == "objective-gap"
-
-    def test_flags_status_mismatch(self):
-        class Masker(FastLPBackend):
-            name = "masker"
-
-            def solve(self, model):
-                return SolveResult(
-                    status=SolveStatus.OPTIMAL,
-                    objective=0.0,
-                    values=[0.0] * model.num_vars,
-                    backend_name=self.name,
-                )
-
-        report = lp_discrepancy_gate([infeasible_model()], Masker())
-        assert not report.clean
-        assert report.discrepancies[0].kind == "result-mismatch"
 
 
 class TestWarmSolversProperty:

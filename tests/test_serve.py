@@ -3,8 +3,8 @@
 Contracts under test:
 
 * **Determinism** -- a job's payload is a pure function of its spec;
-  in-process and spawn-worker execution agree byte for byte, and the
-  store key is stable across processes.
+  a direct :func:`execute_job` call and spawn-worker execution agree
+  byte for byte, and the store key is stable across processes.
 * **Isolation** -- a worker hard-crash (``os._exit``) or an over-budget
   job kills only that worker: the daemon records a structured failure,
   respawns the slot, and keeps serving.
@@ -24,7 +24,6 @@ from repro import obs
 from repro.fuzz import generators as fuzz_generators
 from repro.fuzz import oracles as fuzz_oracles
 from repro.serve import (
-    InProcessPool,
     JOB_KINDS,
     JobSpec,
     JobTimeoutError,
@@ -113,15 +112,16 @@ class TestJobSpec:
 # ----------------------------------------------------------------------
 # Pools
 # ----------------------------------------------------------------------
-class TestInProcessPool:
+class TestWorkerPool:
     def test_run_jobs_preserves_submission_order(self, tmp_path):
+        # The first job finishes last: outcomes still come back in
+        # submission order.
         specs = [
-            JobSpec("probe", {"action": "sleep", "seconds": 0.2}, seed=0),
+            JobSpec("probe", {"action": "sleep", "seconds": 0.5}, seed=0),
             JobSpec("probe", {"action": "ok"}, seed=1),
             JobSpec("probe", {"action": "ok"}, seed=2),
         ]
-        outcomes = run_jobs(specs, workers=3, mode="inprocess",
-                            store_root=str(tmp_path))
+        outcomes = run_jobs(specs, workers=2, store_root=str(tmp_path))
         assert [o.job_id for o in outcomes] == [0, 1, 2]
         assert [o.payload["seed"] for o in outcomes] == [0, 1, 2]
 
@@ -129,24 +129,38 @@ class TestInProcessPool:
         outcomes = run_jobs(
             [JobSpec("probe", {"action": "error"}),
              JobSpec("probe", {"action": "ok"})],
-            workers=1, mode="inprocess", store_root=str(tmp_path),
+            workers=1, store_root=str(tmp_path),
         )
         assert not outcomes[0].ok
         assert outcomes[0].failure == "error"
         assert outcomes[0].error == "RuntimeError"
         assert outcomes[1].ok
 
-    def test_budget_abandons_job(self, tmp_path):
-        outcomes = run_jobs(
-            [JobSpec("probe", {"action": "sleep", "seconds": 30},
-                     budget_seconds=0.2)],
-            workers=1, mode="inprocess", store_root=str(tmp_path),
-        )
-        assert not outcomes[0].ok
-        assert outcomes[0].failure == "budget"
+    def test_concurrent_batches_on_one_pool_keep_their_outcomes(
+        self, tmp_path
+    ):
+        # Every batch numbers its jobs from 0: interleaved on one pool,
+        # callers would take each other's outcomes (or wait forever).
+        pool = WorkerPool(workers=1, store_root=str(tmp_path)).start()
+        seen = {}
 
+        def batch(seed):
+            spec = JobSpec("probe", {"action": "ok"}, seed=seed)
+            seen[seed] = run_jobs([spec], pool=pool)[0].payload["seed"]
 
-class TestWorkerPool:
+        threads = [
+            threading.Thread(target=batch, args=(seed,), daemon=True)
+            for seed in range(4)
+        ]
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(30)
+            assert seen == {seed: seed for seed in range(4)}
+        finally:
+            pool.shutdown()
+
     def test_multiprocess_matches_inprocess_payloads(self, tmp_path):
         specs = [
             JobSpec("solve", SOLVE_PARAMS),
@@ -155,11 +169,10 @@ class TestWorkerPool:
             JobSpec("probe", {"action": "spin", "iterations": 2000},
                     seed=11),
         ]
-        inproc = run_jobs(specs, workers=2, mode="inprocess",
-                          store_root=str(tmp_path / "a"))
-        mp = run_jobs(specs, workers=2, mode="process",
-                      store_root=str(tmp_path / "b"))
-        assert [o.payload for o in inproc] == [o.payload for o in mp]
+        local = [execute_job(spec) for spec in specs]
+        mp = run_jobs(specs, workers=2, store_root=str(tmp_path))
+        assert all(o.ok for o in mp)
+        assert [o.payload for o in mp] == local
 
     def test_survives_worker_hard_crash(self, tmp_path):
         pool = WorkerPool(workers=1, store_root=str(tmp_path))
@@ -194,6 +207,24 @@ class TestWorkerPool:
         finally:
             pool.shutdown()
 
+    def test_run_jobs_kills_over_budget_job_and_finishes_batch(
+        self, tmp_path
+    ):
+        # One seat: the job queued behind the over-budget one only runs
+        # because that job is killed and the seat respawned, long before
+        # its 30 s sleep would have ended.
+        started = time.monotonic()
+        outcomes = run_jobs(
+            [JobSpec("probe", {"action": "sleep", "seconds": 30},
+                     budget_seconds=0.2),
+             JobSpec("probe", {"action": "ok"}, seed=3)],
+            workers=1, store_root=str(tmp_path),
+        )
+        assert time.monotonic() - started < 20
+        assert not outcomes[0].ok
+        assert outcomes[0].failure == "budget"
+        assert outcomes[1].ok and outcomes[1].payload["seed"] == 3
+
     def test_saturated_pool_rejects_submit(self, tmp_path):
         pool = WorkerPool(workers=1, store_root=str(tmp_path))
         pool.start()
@@ -216,11 +247,11 @@ class TestWorkerPool:
 
 
 # ----------------------------------------------------------------------
-# Daemon + client (inprocess mode: fast, no spawn cost)
+# Daemon + client (spawn worker pool)
 # ----------------------------------------------------------------------
 class TestDaemon:
     def test_submit_wait_result_roundtrip(self):
-        with ReproDaemon(mode="inprocess", workers=2) as daemon:
+        with ReproDaemon(workers=2) as daemon:
             client = ServeClient(daemon.url)
             assert client.health()["status"] == "ok"
             record = client.submit("solve", SOLVE_PARAMS)
@@ -230,7 +261,7 @@ class TestDaemon:
             assert payload["status"] == "optimal"
 
     def test_queue_full_rejection_is_structured_not_a_hang(self):
-        with ReproDaemon(mode="inprocess", workers=1,
+        with ReproDaemon(workers=1,
                          queue_limit=1) as daemon:
             client = ServeClient(daemon.url)
             rejected = None
@@ -257,7 +288,7 @@ class TestDaemon:
                                    timeout=60)["state"] == "completed"
 
     def test_queue_full_raises_locally_too(self):
-        daemon = ReproDaemon(mode="inprocess", workers=1, queue_limit=1)
+        daemon = ReproDaemon(workers=1, queue_limit=1)
         daemon.start()
         try:
             # Sleep jobs saturate the single worker and then the
@@ -274,7 +305,7 @@ class TestDaemon:
             daemon.stop()
 
     def test_failed_job_result_is_409(self):
-        with ReproDaemon(mode="inprocess", workers=1) as daemon:
+        with ReproDaemon(workers=1) as daemon:
             client = ServeClient(daemon.url)
             record = client.submit("probe", {"action": "error"})
             final = client.wait(record["id"], timeout=60)
@@ -286,13 +317,13 @@ class TestDaemon:
             assert excinfo.value.payload["error"] == "job-not-completed"
 
     def test_bad_submission_is_400(self):
-        with ReproDaemon(mode="inprocess", workers=1) as daemon:
+        with ReproDaemon(workers=1) as daemon:
             with pytest.raises(ServeAPIError) as excinfo:
                 ServeClient(daemon.url).submit("quantum", {})
             assert excinfo.value.status == 400
 
     def test_default_budget_applies_to_unbudgeted_jobs(self):
-        with ReproDaemon(mode="inprocess", workers=1,
+        with ReproDaemon(workers=1,
                          default_budget=0.3) as daemon:
             client = ServeClient(daemon.url)
             record = client.submit("probe",
@@ -304,7 +335,7 @@ class TestDaemon:
     def test_repeat_submission_hits_store_at_admission(self, tmp_path):
         obs.metrics.reset()
         store = ArtifactStore(tmp_path)
-        with ReproDaemon(mode="inprocess", workers=1,
+        with ReproDaemon(workers=1,
                          store=store) as daemon:
             client = ServeClient(daemon.url)
             first = client.submit("verify", {"dataset": "Internet2"})
@@ -324,7 +355,7 @@ class TestDaemon:
 
     def test_cached_admission_bypasses_queue_limit(self, tmp_path):
         store = ArtifactStore(tmp_path)
-        with ReproDaemon(mode="inprocess", workers=1, queue_limit=1,
+        with ReproDaemon(workers=1, queue_limit=1,
                          store=store) as daemon:
             client = ServeClient(daemon.url)
             warm = client.submit("verify", {"dataset": "Internet2"})
@@ -349,19 +380,19 @@ class TestDaemon:
             assert cached["state"] == "completed" and cached["cached"]
 
     def test_jobs_listing_and_stats(self):
-        with ReproDaemon(mode="inprocess", workers=1) as daemon:
+        with ReproDaemon(workers=1) as daemon:
             client = ServeClient(daemon.url)
             record = client.submit("probe", {"action": "ok"})
             client.wait(record["id"], timeout=60)
             listing = client.jobs()
             assert listing and listing[0]["id"] == record["id"]
             stats = client.stats()
-            assert stats["mode"] == "inprocess"
+            assert stats["workers"] == 1
             assert stats["jobs"]["completed"] >= 1
 
     def test_metrics_endpoint_exposes_serve_families(self):
         obs.metrics.reset()
-        with ReproDaemon(mode="inprocess", workers=1) as daemon:
+        with ReproDaemon(workers=1) as daemon:
             client = ServeClient(daemon.url)
             record = client.submit("probe", {"action": "ok"})
             client.wait(record["id"], timeout=60)
@@ -370,7 +401,7 @@ class TestDaemon:
         assert "serve_job_seconds" in text
 
     def test_shutdown_endpoint_requests_stop(self):
-        daemon = ReproDaemon(mode="inprocess", workers=1)
+        daemon = ReproDaemon(workers=1)
         daemon.start()
         try:
             reply = ServeClient(daemon.url).shutdown()
@@ -383,7 +414,7 @@ class TestDaemon:
         # The headline resilience claim, through the whole stack: a job
         # that hard-kills its spawn worker is recorded as failed and
         # the daemon keeps answering.
-        with ReproDaemon(mode="process", workers=1,
+        with ReproDaemon(workers=1,
                          store=ArtifactStore(tmp_path)) as daemon:
             client = ServeClient(daemon.url)
             record = client.submit("probe", {"action": "crash"})
@@ -412,7 +443,7 @@ class TestLoadgen:
             loadgen_spec("quantum", 0)
 
     def test_run_against_live_daemon(self, tmp_path):
-        with ReproDaemon(mode="inprocess", workers=2,
+        with ReproDaemon(workers=2,
                          store=ArtifactStore(tmp_path)) as daemon:
             report = run_loadgen(daemon.url, jobs=15, concurrency=4,
                                  timeout=120)
@@ -425,7 +456,7 @@ class TestLoadgen:
         assert "jobs/s" in report.render()
 
     def test_rejections_are_retried_not_lost(self):
-        with ReproDaemon(mode="inprocess", workers=1,
+        with ReproDaemon(workers=1,
                          queue_limit=1) as daemon:
             report = run_loadgen(daemon.url, jobs=10, concurrency=5,
                                  kind="probe", timeout=120)

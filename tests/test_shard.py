@@ -25,7 +25,6 @@ from repro.netmodel.datasets import (
 from repro.netmodel.headerspace import HEADER_BITS, Prefix
 from repro.netmodel.rules import ForwardingRule
 from repro.shard import (
-    MODES,
     NetworkPartitioner,
     ShardVerifier,
     StreamingVerifier,
@@ -224,16 +223,25 @@ class TestShardLocality:
             assert 0 < s["num_nodes"] < total
 
     def test_modes_agree(self):
+        # Builds run serially unless a pool or worker count is given;
+        # the spawn-worker build must answer byte-identically, and both
+        # report where they ran.
+        from repro.serve import shared_pool
+
         dataset = build_verification_dataset("Internet2")
         sources = sorted(dataset.devices)[:2]
-        docs = [
-            ShardVerifier(dataset, shards=2, mode=mode).comparison_document(
-                sources
-            )
-            for mode in ("serial", "inprocess")
-        ]
-        assert documents_equal(docs[0], docs[1])
-        assert set(MODES) == {"serial", "inprocess", "process"}
+        obs.metrics.reset()
+        serial = ShardVerifier(dataset, shards=2)
+        pooled = ShardVerifier(dataset, shards=2, pool=shared_pool(workers=2))
+        assert serial.mode == "serial"
+        assert pooled.mode == "process"
+        assert pooled.result_document(sources)["mode"] == "process"
+        for mode in ("serial", "process"):
+            assert obs.metrics.counter("shard.verifiers", mode=mode).value == 1
+        assert documents_equal(
+            serial.comparison_document(sources),
+            pooled.comparison_document(sources),
+        )
 
 
 class TestStreaming:

@@ -213,6 +213,37 @@ class TestObjectiveBounds:
             assert solution.objective <= exact * (1 + 1e-6) + 1e-6, name
 
 
+class TestNcflowOverAdmission:
+    """Regression pin: ncflow reports more flow than the edge optimum.
+
+    On this 4-node ring the modularity partition {n0,n1},{n2,n3} puts
+    both commodities in one bundle.  Each R2 segment is a
+    single-commodity flow from pooled sources to pooled sinks, so n0's
+    unit leaves on n0->n3 and is counted as n1->n3's.  Every link stays
+    within capacity, but the per-commodity flow ncflow reports (4.0)
+    does not exist: the exact edge optimum is 3.0.  This is the case
+    ``test_every_max_flow_solver_bounded_by_edge_optimum`` draws at
+    random.  Fixing it changes what ncflow computes, so it is left
+    open (ROADMAP); strict xfail flags the fix when it lands.
+    """
+
+    @pytest.mark.xfail(
+        strict=True,
+        reason="ncflow credits pooled R2 flow to the wrong commodity",
+    )
+    def test_ncflow_bounded_by_edge_optimum(self):
+        topo = Topology("ncflow-over-admission")
+        for i in range(4):
+            topo.add_node(f"n{i}")
+        for src, dst, cap in (("n0", "n1", 1.0), ("n1", "n2", 2.0),
+                              ("n2", "n3", 1.0), ("n3", "n0", 2.0)):
+            topo.add_bidi_link(src, dst, cap)
+        traffic = TrafficMatrix({("n0", "n2"): 1.0, ("n1", "n3"): 3.0})
+        exact = solve_max_flow_edge(topo, traffic).objective
+        solution = registry.solve("ncflow", topo, traffic)
+        assert solution.objective <= exact * (1 + 1e-6) + 1e-6
+
+
 class TestTunnelCache:
     def test_fingerprint_ignores_capacities_but_not_structure(self):
         a = two_cluster_topology()
