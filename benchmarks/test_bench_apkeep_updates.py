@@ -6,9 +6,8 @@ dataset as an update stream, plus the incremental cost of a burst of
 inserts/removals after the build.
 
 The workload body is :func:`repro.bench.workloads.
-apkeep_update_latency_rows` -- the same update-stream replay and
-deterministic burst the ``apkeep.build`` / ``apkeep.update_burst``
-registry benchmarks time.
+apkeep_update_latency_rows`: an update-stream replay per dataset, then
+a deterministic insert/remove burst on the built verifier.
 """
 
 from conftest import print_rows

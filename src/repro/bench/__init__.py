@@ -1,20 +1,22 @@
 """``repro.bench`` -- the performance benchmark harness.
 
-The repo's north star is measured speed; this package is the measuring
-device.  Four dependency-free pieces:
+End-to-end and per-layer numbers come from ``perfbench/``; this
+package holds the bench pairs that decide whether a fast path earns its
+code: each pair times one job with and without the fast path, and both
+sides must report the same answer.  Four dependency-free pieces:
 
 * :mod:`repro.bench.registry` -- the ``@benchmark`` workload registry
   (:func:`discover` loads the built-in catalogue from
-  :mod:`repro.bench.workloads`: BDD build/apply, AP atoms, APKeep
-  incremental updates, every TE registry solver cold/warm, parallel
-  fan-out, simulated-LLM pipeline runs);
+  :mod:`repro.bench.workloads`: the BDD-profile ratio, the tunnel
+  cache, warm LP sessions and thread fan-out, the disk store, sharding,
+  and two telemetry-overhead guards);
 * :mod:`repro.bench.runner` -- warmup + repeated timed iterations with
   min/median/stddev and :mod:`repro.obs.metrics` counter deltas
   attached to each :class:`BenchResult`;
 * :mod:`repro.bench.artifact` -- schema-versioned ``BENCH_<sha>.json``
   artifacts (:func:`write_artifact` / :func:`read_artifact`);
 * :mod:`repro.bench.compare` -- the regression comparator that diffs
-  two artifacts and fails the gate on configurable thresholds.
+  two artifacts' medians and fails the gate past a slowdown ratio.
 
 Typical use is the CLI (``python -m repro bench --save`` then later
 ``python -m repro bench --baseline BENCH_<sha>.json``), but everything

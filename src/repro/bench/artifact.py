@@ -2,7 +2,8 @@
 
 An artifact is the repo's durable perf record for one revision: which
 workloads ran, with what profile (repeat/warmup/filter), how long each
-took, and what its metric deltas were.  The comparator
+took, what its metric deltas were, and what it computed (``meta``, where
+both sides of a pair must agree).  The comparator
 (:mod:`repro.bench.compare`) diffs two of them to gate regressions, so
 the format is versioned (:data:`SCHEMA`) and :func:`read_artifact`
 refuses anything it does not understand rather than mis-comparing.
@@ -11,19 +12,19 @@ Layout::
 
     {
       "schema": "repro.bench/1",
-      "git_sha": "150fb5e",
+      "git_sha": "0123abc",
       "created_unix": 1754462400.0,
       "environment": {"python": "3.11.7", "platform": "Linux-..."},
       "profile": {"repeat": 3, "warmup": 1, "filter": null},
       "benchmarks": {
-        "te.pf4.warm": {
+        "te.tunnels.warm": {
           "layer": "te",
           "description": "...",
           "repeat": 3, "warmup": 1,
-          "seconds": [0.0051, 0.0049, 0.0050],
+          "seconds": [0.251, 0.248, 0.250],
           "stats": {"min": ..., "median": ..., "mean": ..., "stddev": ...},
-          "metrics": {"tunnel_cache.hit": 3, "lp.solves": 3},
-          "meta": {"objective": 8854.5}
+          "metrics": {"tunnel_cache.hit": 60, "lp.solves": ...},
+          "meta": {"intervals": 4, "objectives": [9267.094, ...]}
         }, ...
       }
     }
@@ -78,22 +79,31 @@ def default_artifact_path(directory: Union[str, Path] = ".") -> Path:
     return Path(directory) / f"BENCH_{git_sha()}.json"
 
 
-def find_latest_artifact(directory: Union[str, Path] = ".") -> Path:
-    """The newest ``BENCH_*.json`` in ``directory``.
+def find_latest_artifact(
+    directory: Union[str, Path] = ".",
+    exclude: Optional[Union[str, Path]] = None,
+) -> Path:
+    """The newest ``BENCH_*.json`` in ``directory`` other than ``exclude``.
 
     "Newest" is each artifact's own ``created_unix`` stamp (what the
     writer recorded), falling back to file mtime for artifacts that do
     not parse.  This is what ``repro bench --baseline`` (no path) and
-    ``--compare`` (one path) resolve against; raises
+    ``--compare`` (one path) resolve against; ``exclude`` is the current
+    artifact, which must never be its own baseline.  Raises
     :class:`ArtifactError` when the directory has no candidates, so the
     caller can say "save a baseline first" instead of mis-comparing.
     """
     directory = Path(directory)
-    candidates = sorted(directory.glob("BENCH_*.json"))
+    skip = Path(exclude).resolve() if exclude is not None else None
+    candidates = sorted(
+        path for path in directory.glob("BENCH_*.json")
+        if path.resolve() != skip
+    )
     if not candidates:
+        other = f" other than {exclude}" if exclude is not None else ""
         raise ArtifactError(
-            f"no BENCH_*.json artifact found in {directory.resolve()}; "
-            "save one first with 'repro bench --save'"
+            f"no BENCH_*.json artifact{other} found in "
+            f"{directory.resolve()}; save one first with 'repro bench --save'"
         )
 
     def freshness(path: Path) -> float:
@@ -177,6 +187,12 @@ def validate_artifact(artifact: object) -> Dict[str, object]:
                 raise ArtifactError(f"benchmark {name!r} is missing {key!r}")
         if not record["seconds"]:
             raise ArtifactError(f"benchmark {name!r} has no timings")
+        stats = record["stats"]
+        median = stats.get("median") if isinstance(stats, dict) else None
+        if isinstance(median, bool) or not isinstance(median, (int, float)):
+            raise ArtifactError(
+                f"benchmark {name!r} has no numeric stats.median"
+            )
     return artifact
 
 

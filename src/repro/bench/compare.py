@@ -3,8 +3,9 @@
 Given a *baseline* artifact and a *current* one, classify every
 benchmark the baseline knows about:
 
-* ``regression`` -- current / baseline exceeds ``Thresholds.ratio``
-  (and the benchmark is slow enough to matter, see ``min_seconds``);
+* ``regression`` -- current / baseline median exceeds
+  ``Thresholds.ratio`` (and the benchmark is slow enough to matter, see
+  ``min_seconds``);
 * ``faster``     -- the same test in the other direction (informational);
 * ``ok``         -- within the noise band, including exactly equal;
 * ``missing``    -- in the baseline but absent from the current run: a
@@ -23,35 +24,26 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
-#: Stats keys a comparison may gate on.
-COMPARABLE_STATS = ("min", "median", "mean")
-
 
 @dataclass(frozen=True)
 class Thresholds:
     """Knobs for what counts as a regression.
 
-    ``ratio`` is the slowdown factor that fails the gate (1.5 = fail at
-    +50%); ``min_seconds`` exempts benchmarks whose baseline *and*
-    current stat are both below it; ``stat`` picks which statistic the
-    ratio is computed over (median by default -- robust against one
-    noisy iteration, unlike mean, while still moving when the workload
-    does, unlike min on a lucky run).
+    ``ratio`` is the median slowdown factor that fails the gate (1.5 =
+    fail at +50%); ``min_seconds`` exempts benchmarks whose baseline
+    *and* current median are both below it.  The median is robust
+    against one noisy iteration, unlike the mean, while still moving
+    when the workload does, unlike the min on a lucky run.
     """
 
     ratio: float = 1.5
     min_seconds: float = 0.002
-    stat: str = "median"
 
     def __post_init__(self):
         if self.ratio <= 1.0:
             raise ValueError("threshold ratio must be > 1.0")
         if self.min_seconds < 0:
             raise ValueError("min_seconds must be >= 0")
-        if self.stat not in COMPARABLE_STATS:
-            raise ValueError(
-                f"stat must be one of {COMPARABLE_STATS}, got {self.stat!r}"
-            )
 
 
 @dataclass(frozen=True)
@@ -120,16 +112,14 @@ class ComparisonReport:
             f"{len(self.missing)} missing"
         )
         lines.append(
-            f"gate ({self.thresholds.stat} ratio > "
-            f"{self.thresholds.ratio:g}x, ignoring < "
+            f"gate (median ratio > {self.thresholds.ratio:g}x, ignoring < "
             f"{self.thresholds.min_seconds:g}s): {verdict}"
         )
         return "\n".join(lines)
 
 
-def _stat(record: Dict[str, object], stat: str) -> float:
-    stats = record.get("stats") or {}
-    return float(stats[stat])
+def _median(record: Dict[str, object]) -> float:
+    return float(record["stats"]["median"])
 
 
 def compare_artifacts(
@@ -147,11 +137,11 @@ def compare_artifacts(
     cur_benchmarks: Dict[str, Dict] = current["benchmarks"]
     report = ComparisonReport(thresholds=thresholds)
     for name in sorted(base_benchmarks):
-        base_seconds = _stat(base_benchmarks[name], thresholds.stat)
+        base_seconds = _median(base_benchmarks[name])
         if name not in cur_benchmarks:
             report.deltas.append(Delta(name, "missing", base_seconds, None))
             continue
-        cur_seconds = _stat(cur_benchmarks[name], thresholds.stat)
+        cur_seconds = _median(cur_benchmarks[name])
         if (base_seconds < thresholds.min_seconds
                 and cur_seconds < thresholds.min_seconds):
             status = "skipped-fast"
@@ -164,6 +154,6 @@ def compare_artifacts(
         report.deltas.append(Delta(name, status, base_seconds, cur_seconds))
     for name in sorted(set(cur_benchmarks) - set(base_benchmarks)):
         report.deltas.append(
-            Delta(name, "new", None, _stat(cur_benchmarks[name], thresholds.stat))
+            Delta(name, "new", None, _median(cur_benchmarks[name]))
         )
     return report

@@ -1,11 +1,12 @@
-"""The benchmark registry: one catalogue for every measured hot path.
+"""The benchmark registry: the catalogue of bench pairs.
 
-A *benchmark* is a named, deterministic workload exercising one hot
-path of the repository (a BDD build, a TE solve, a pipeline run).  The
-registry is the single source of truth for workload definitions: the
-``repro bench`` CLI, the CI perf-smoke job, and the pytest-benchmark
-files under ``benchmarks/`` all resolve workloads here, so a timing
-measured in one place is the same code measured everywhere else.
+A *benchmark* is a named, deterministic workload timing one job one
+way; a *pair* is two benchmarks timing the same job with and without a
+fast path (a cache, a warm session, sharding).  The registry is the
+single source of truth for workload definitions: the ``repro bench``
+CLI, the CI perf-smoke job, and ``benchmarks/test_bench_bdd_profiles.py``
+all resolve workloads here, so a timing measured in one place is the
+same code measured everywhere else.
 
 Registration mirrors :mod:`repro.te.registry`'s idiom::
 
@@ -19,23 +20,20 @@ Registration mirrors :mod:`repro.te.registry`'s idiom::
 
 The decorated callable runs one *timed iteration* and returns either a
 scalar checksum or a dict of extra metadata; both land in the result's
-``meta`` so artifacts can assert the workload computed the same thing
-across revisions, not just that it got faster.  Optional ``setup`` runs
+``meta``, so an artifact shows both sides of a pair computing the same
+answer, not just one of them being faster.  Optional ``setup`` runs
 once before any iteration and ``pre_iteration`` runs untimed before
-every iteration (cold-cache workloads clear the tunnel cache there).
+every iteration (cold-store workloads clear their store there).
 """
 
 from __future__ import annotations
 
 import difflib
-from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Tuple
+from dataclasses import dataclass
+from typing import Callable, Dict, List, Optional
 
 #: Layers a benchmark can belong to, in the order tables render them.
-LAYERS = (
-    "bdd", "ap", "apkeep", "shard", "te", "lp", "store", "parallel",
-    "pipeline", "obs", "fuzz", "serve",
-)
+LAYERS = ("bdd", "shard", "te", "lp", "store", "obs")
 
 
 class UnknownBenchmarkError(KeyError):
@@ -74,7 +72,6 @@ class BenchmarkSpec:
     pre_iteration: Optional[Callable[[], None]] = None
     description: str = ""
     repeat: int = 3
-    tags: Tuple[str, ...] = field(default_factory=tuple)
 
     def __post_init__(self):
         if self.layer not in LAYERS:
@@ -85,13 +82,9 @@ class BenchmarkSpec:
             raise ValueError(f"repeat must be >= 1, got {self.repeat}")
 
     def matches(self, needle: str) -> bool:
-        """Case-insensitive substring match on name, layer, or tags."""
+        """Case-insensitive substring match on the name, or the exact layer."""
         needle = needle.lower()
-        return (
-            needle in self.name.lower()
-            or needle == self.layer.lower()
-            or any(needle in tag.lower() for tag in self.tags)
-        )
+        return needle in self.name.lower() or needle == self.layer.lower()
 
 
 _REGISTRY: Dict[str, BenchmarkSpec] = {}
@@ -127,7 +120,6 @@ def benchmark(
     setup: Optional[Callable[[], None]] = None,
     pre_iteration: Optional[Callable[[], None]] = None,
     repeat: int = 3,
-    tags: Tuple[str, ...] = (),
 ) -> Callable[[Callable[[], object]], Callable[[], object]]:
     """Decorator form of :func:`register`; returns ``func`` unchanged."""
 
@@ -140,7 +132,6 @@ def benchmark(
             pre_iteration=pre_iteration,
             description=description,
             repeat=repeat,
-            tags=tuple(tags),
         ))
         return func
 
@@ -179,7 +170,7 @@ def select(filter_expr: Optional[str] = None) -> List[BenchmarkSpec]:
     """Specs matching ``filter_expr`` in layer-then-name order.
 
     ``filter_expr`` is a comma-separated list of needles; a spec is
-    selected when *any* needle matches its name, layer, or tags
+    selected when *any* needle matches its name or layer
     (:meth:`BenchmarkSpec.matches`).  ``None`` or ``""`` selects
     everything.
     """

@@ -4,9 +4,10 @@ One :class:`BenchResult` per workload: the raw per-iteration wall
 times, derived statistics (min / median / mean / stddev), and the
 *metric delta* -- how much every :mod:`repro.obs.metrics` counter moved
 during the timed iterations.  The delta is what ties a timing to its
-cause: a ``te.pf4.warm`` result carrying ``tunnel_cache.hit == repeat``
-proves the warm path really skipped Yen's algorithm, and a regression
-whose ``lp.solves`` delta doubled is an algorithmic change, not noise.
+cause: a ``te.tunnels.warm`` result carrying ``tunnel_cache.hit`` and no
+``tunnel_cache.miss`` proves the warm path really skipped Yen's
+algorithm, and a regression whose ``lp.solves`` delta doubled is an
+algorithmic change, not noise.
 
 Timing discipline: ``setup`` runs once, untimed; ``pre_iteration``
 runs untimed before every iteration; warmup iterations run the real

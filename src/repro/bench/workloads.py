@@ -1,41 +1,37 @@
-"""The built-in workload catalogue: every hot path, one benchmark each.
+"""The built-in workload catalogue: one bench pair per fast path.
 
 Imported (once) by :func:`repro.bench.registry.discover`; importing it
-registers the whole catalogue.  Inputs are fixed and seeded -- named
-synthetic datasets, fixed commodity counts, deterministic bursts -- so
-two runs on the same revision time the *same* computation and artifact
-``meta`` checksums (objectives, atom counts, satcounts) must match
-across revisions unless an algorithm genuinely changed.
+registers the whole catalogue.  A fast path stays in the repository only
+while its pair shows it winning and both sides compute the same answer,
+so every pair times one job two ways on the traffic the fast path
+actually serves, and both sides report the same ``meta`` field
+(objectives, satcount, checksum, atom counts) for the artifact to
+compare.  Inputs are fixed and seeded, so two runs on the same revision
+time the *same* computation.
 
 Layers covered:
 
-* ``bdd``      -- prefix-BDD build + apply chains on both operation
-  profiles, with computed-table statistics attached;
-* ``ap``       -- atomic-predicate computation and all-pairs queries;
-* ``apkeep``   -- full update-stream replay and post-build bursts;
-* ``shard``    -- partitioned verification: the sharded-beats-whole
-  spawn-worker pair (byte-equal result checksums), the streaming
-  update-burst latency path, and a store-cold vs store-warm artifact
-  pair on the 100k-rule large preset;
-* ``te``       -- every registry solver, as ``.cold`` (tunnel cache
-  cleared before each iteration) and ``.warm`` (cache primed) variants
-  where the solver uses tunnels;
-* ``lp``       -- the solve-session tier: a scale sweep solved cold vs
-  carried on one warm LP session;
-* ``parallel`` -- ``run_ordered`` fan-out overhead, serial vs threads;
-* ``pipeline`` -- simulated-LLM reproduction runs end to end;
-* ``obs``      -- telemetry-tier overhead: labeled metric hot path and
-  disabled-span cost (what un-instrumented runs pay);
-* ``fuzz``     -- differential-gate throughput: a fixed case window
-  through a fast oracle subset, timed end to end;
-* ``serve``    -- the service tier: a fixed job batch through the spawn
-  worker pool, and the full HTTP submit/wait round trip.
+* ``bdd``   -- the paper's BDD-library ratio: one build + apply chain
+  on the JDD and JavaBDD operation profiles (equal ``satcount``);
+* ``shard`` -- whole vs sharded verification (equal ``checksum``), and
+  shard artifacts built into an empty vs a populated store on the
+  100k-rule large preset (equal ``atoms`` and ``rules``);
+* ``te``    -- the in-memory tunnel cache on a re-solve series: one
+  topology's fixed commodity set re-solved over seeded volume
+  intervals, cache cleared per interval vs primed (equal
+  ``objectives``);
+* ``lp``    -- a pf4 scale sweep solved cold, carried on one warm LP
+  session, and fanned out over two threads (equal ``objectives``);
+* ``store`` -- tunnel lookup against an empty vs a populated disk
+  store (equal ``commodities``);
+* ``obs``   -- telemetry overhead guards, not pairs: the labeled metric
+  hot path and the disabled-span cost CI holds to a budget.
 
 The module-level helpers (:func:`bdd_profile_workload`,
 :func:`apkeep_update_latency_rows`, :func:`ncflow_scaling_rows`,
-:func:`demand_scale_series`) are also the workload bodies the
-pytest-benchmark files under ``benchmarks/`` call, so the paper-shape
-assertions there and the perf numbers here measure identical code.
+:func:`demand_scale_series`) are the workload bodies of the
+pytest-benchmark files under ``benchmarks/``; only the BDD one is also
+timed here.
 """
 
 from __future__ import annotations
@@ -44,51 +40,12 @@ import time
 from functools import lru_cache
 from typing import Dict, List, Sequence, Tuple
 
-from repro.bench.registry import benchmark, register, BenchmarkSpec
+from repro.bench.registry import benchmark
 
-#: Default TE benchmark instance: small enough that the full catalogue
-#: smoke-runs in seconds, structured enough to exercise real LP models.
-TE_INSTANCE = "B4"
-TE_COMMODITIES = 30
+#: Total demand, as a fraction of capacity, of every TE input here.  The
+#: inputs come from memoised builders that setup hooks prime, so their
+#: construction never lands inside a timed iteration.
 TE_LOAD = 0.1
-
-#: Default verification datasets for the AP / APKeep layers.
-AP_DATASET = "Stanford"
-APKEEP_DATASET = "Internet2"
-
-
-# ----------------------------------------------------------------------
-# Shared, deterministic input builders (memoised; setup hooks prime them
-# so construction cost never lands inside a timed iteration).
-# ----------------------------------------------------------------------
-@lru_cache(maxsize=None)
-def _te_instance(name: str = TE_INSTANCE):
-    from repro.netmodel.instances import make_te_instance
-
-    return make_te_instance(
-        name, max_commodities=TE_COMMODITIES, total_demand_fraction=TE_LOAD
-    )
-
-
-@lru_cache(maxsize=None)
-def _verification_dataset(name: str):
-    from repro.netmodel.datasets import build_verification_dataset
-
-    return build_verification_dataset(name)
-
-
-@lru_cache(maxsize=None)
-def _ap_verifier(name: str = AP_DATASET):
-    from repro.ap import APVerifier
-
-    return APVerifier(_verification_dataset(name))
-
-
-@lru_cache(maxsize=None)
-def _apkeep_verifier(name: str = APKEEP_DATASET):
-    from repro.apkeep import APKeepVerifier
-
-    return APKeepVerifier(_verification_dataset(name))
 
 
 # ----------------------------------------------------------------------
@@ -154,38 +111,7 @@ def bench_bdd_javabdd_profile() -> Dict[str, object]:
 
 
 # ----------------------------------------------------------------------
-# AP layer
-# ----------------------------------------------------------------------
-@benchmark(
-    "ap.build", layer="ap",
-    description=f"AP predicate + atom computation, {AP_DATASET} dataset",
-)
-def bench_ap_build() -> Dict[str, object]:
-    """Full AP verifier construction from a fresh dataset each iteration."""
-    from repro.ap import APVerifier
-
-    verifier = APVerifier(_verification_dataset(AP_DATASET))
-    return {
-        "num_atoms": verifier.num_atoms,
-        "num_predicates": verifier.num_predicates,
-    }
-
-
-@benchmark(
-    "ap.query_all_pairs", layer="ap",
-    description=f"all-pairs selective-BFS reachability, {AP_DATASET} dataset",
-    setup=lambda: _ap_verifier(),
-)
-def bench_ap_query_all_pairs() -> Dict[str, object]:
-    """All-pairs reachability over a prebuilt verifier."""
-    verifier = _ap_verifier()
-    results = verifier.verify_all_pairs()
-    reachable = sum(1 for atoms in results.values() if atoms)
-    return {"pairs": len(results), "reachable": reachable}
-
-
-# ----------------------------------------------------------------------
-# APKeep layer
+# APKeep update latency (a figure-suite helper, not a registry workload)
 # ----------------------------------------------------------------------
 def apkeep_burst(dataset) -> List[Tuple[str, str, object]]:
     """A deterministic insert+remove burst: a /4 override on every
@@ -211,10 +137,11 @@ def apkeep_update_latency_rows(datasets: Sequence[str]) -> List[Dict[str, float]
     The workload behind ``benchmarks/test_bench_apkeep_updates.py``.
     """
     from repro.apkeep import APKeepVerifier
+    from repro.netmodel.datasets import build_verification_dataset
 
     rows = []
     for name in datasets:
-        dataset = _verification_dataset(name)
+        dataset = build_verification_dataset(name)
         verifier = APKeepVerifier(dataset)
         stats = verifier.update_latency_stats()
         burst = apkeep_burst(dataset)
@@ -234,120 +161,105 @@ def apkeep_update_latency_rows(datasets: Sequence[str]) -> List[Dict[str, float]
     return rows
 
 
-@benchmark(
-    "apkeep.build", layer="apkeep",
-    description=f"APKeep full update-stream replay, {APKEEP_DATASET} dataset",
-)
-def bench_apkeep_build() -> Dict[str, object]:
-    """Rebuild the incremental verifier from scratch each iteration."""
-    from repro.apkeep import APKeepVerifier
-
-    verifier = APKeepVerifier(_verification_dataset(APKEEP_DATASET))
-    return {
-        "num_atoms_minimal": verifier.num_atoms_minimal,
-        "updates": len(verifier.updates),
-    }
-
-
-@benchmark(
-    "apkeep.update_burst", layer="apkeep",
-    description="incremental insert+remove burst on a prebuilt verifier",
-    setup=lambda: _apkeep_verifier(),
-)
-def bench_apkeep_update_burst() -> Dict[str, object]:
-    """Absorb a deterministic burst; state returns to baseline after."""
-    verifier = _apkeep_verifier()
-    burst = apkeep_burst(_verification_dataset(APKEEP_DATASET))
-    verifier.batch_update(burst)
-    return {"burst": len(burst), "num_atoms": verifier.num_atoms}
-
-
 # ----------------------------------------------------------------------
-# TE layer: every registry solver, cold and (where tunnels are used)
-# warm tunnel-cache variants.
+# TE layer: the in-memory tunnel cache, timed on the re-solve traffic it
+# serves.  Tunnels depend only on the topology and the commodity set,
+# so re-solving one commodity set at new volumes is a cache hit.
 # ----------------------------------------------------------------------
-def _register_te_benchmarks() -> None:
-    """One ``.cold`` benchmark per registry solver plus a ``.warm``
-    variant for tunnel-using solvers.
+#: The tunnel pair's re-solve series: one NCFlow topology whose fixed
+#: commodity set is re-solved over :data:`TE_TUNNEL_INTERVALS`
+#: intervals, each with seeded log-normal volume factors (sigma
+#: :data:`TE_TUNNEL_SIGMA`) rescaled to the same total load.
+TE_TUNNEL_INSTANCE = "Erdos17"
+TE_TUNNEL_COMMODITIES = 300
+TE_TUNNEL_INTERVALS = 4
+TE_TUNNEL_SIGMA = 0.15
 
-    Registered dynamically from :mod:`repro.te.registry`, so a newly
-    registered solver is benchmarked without touching this module.
+
+@lru_cache(maxsize=None)
+def _te_tunnel_series():
+    """``(topology, [traffic per interval])`` for the tunnel pair."""
+    import numpy as np
+
+    from repro.netmodel.instances import make_te_instance
+    from repro.netmodel.traffic import TrafficMatrix
+
+    instance = make_te_instance(
+        TE_TUNNEL_INSTANCE,
+        max_commodities=TE_TUNNEL_COMMODITIES,
+        total_demand_fraction=TE_LOAD,
+    )
+    base = instance.traffic.demands
+    keys = sorted(base)
+    rng = np.random.RandomState(7)
+    series = []
+    for _ in range(TE_TUNNEL_INTERVALS):
+        factors = rng.lognormal(0.0, TE_TUNNEL_SIGMA, size=len(keys))
+        raw = [base[key] * factor for key, factor in zip(keys, factors)]
+        scale = instance.traffic.total_demand / sum(raw)
+        series.append(TrafficMatrix(
+            {key: value * scale for key, value in zip(keys, raw)}
+        ))
+    return instance.topology, series
+
+
+def _te_tunnels(cold: bool) -> Dict[str, object]:
+    """Solve every interval with ncflow, then pf4.
+
+    ``cold`` clears the tunnel cache before each interval, so every
+    interval pays Yen's algorithm the way a fresh commodity set does.
     """
-    from repro.te import registry as te_registry
+    from repro.te import registry
     from repro.te.tunnelcache import TUNNEL_CACHE
 
-    @lru_cache(maxsize=None)
-    def solver_for(name: str):
-        return te_registry.make_solver(name)
-
-    def solve_once(name: str) -> Dict[str, object]:
-        instance = _te_instance()
-        solution = solver_for(name).solve(instance.topology, instance.traffic)
-        return {
-            "objective": round(solution.objective, 4),
-            "status": solution.status,
-            "lp_count": solution.lp_count,
-        }
-
-    def make_run(name: str):
-        def run() -> Dict[str, object]:
-            return solve_once(name)
-        return run
-
-    def make_prime(name: str):
-        def prime() -> None:
-            _te_instance()
-            solve_once(name)   # populates the tunnel cache, untimed
-        return prime
-
-    for name in te_registry.solver_names():
-        spec = te_registry.get_spec(name)
-        uses_tunnels = spec.capabilities.uses_tunnels
-        if uses_tunnels:
-            register(BenchmarkSpec(
-                name=f"te.{name}.cold",
-                layer="te",
-                func=make_run(name),
-                setup=lambda: _te_instance(),
-                pre_iteration=TUNNEL_CACHE.clear,
-                description=f"{name} solve, tunnel cache cleared per iteration",
-                tags=("te-cold", "solver"),
-            ))
-            register(BenchmarkSpec(
-                name=f"te.{name}.warm",
-                layer="te",
-                func=make_run(name),
-                setup=make_prime(name),
-                description=f"{name} solve, tunnel cache primed",
-                tags=("te-warm", "solver"),
-            ))
-        else:
-            register(BenchmarkSpec(
-                name=f"te.{name}.solve",
-                layer="te",
-                func=make_run(name),
-                setup=lambda: _te_instance(),
-                description=f"{name} solve ({spec.capabilities.summary()})",
-                tags=("solver",),
-            ))
+    topology, series = _te_tunnel_series()
+    objectives = []
+    for traffic in series:
+        if cold:
+            TUNNEL_CACHE.clear()
+        for solver in ("ncflow", "pf4"):
+            solution = registry.solve(solver, topology, traffic)
+            objectives.append(round(solution.objective, 4))
+    return {"intervals": len(series), "objectives": objectives}
 
 
-_register_te_benchmarks()
+@benchmark(
+    "te.tunnels.cold", layer="te",
+    description=f"ncflow + pf4 over {TE_TUNNEL_INTERVALS} re-solve "
+                f"intervals, {TE_TUNNEL_INSTANCE}, cache cleared per interval",
+    setup=_te_tunnel_series,
+)
+def bench_te_tunnels_cold() -> Dict[str, object]:
+    """Slow side of the tunnel-cache pair: Yen's algorithm every interval."""
+    return _te_tunnels(cold=True)
+
+
+@benchmark(
+    "te.tunnels.warm", layer="te",
+    description=f"ncflow + pf4 over {TE_TUNNEL_INTERVALS} re-solve "
+                f"intervals, {TE_TUNNEL_INSTANCE}, cache primed",
+    setup=lambda: _te_tunnels(cold=False),
+)
+def bench_te_tunnels_warm() -> Dict[str, object]:
+    """Fast side of the tunnel-cache pair: every lookup is a hit."""
+    return _te_tunnels(cold=False)
 
 
 # ----------------------------------------------------------------------
-# LP layer: the solve-session tier.  One explicit pair: a scale sweep
-# solved cold vs carried on one warm session (``--filter lp.warm``
-# selects exactly the pair).
+# LP layer: one pf4 scale sweep timed three ways.  ``lp.sweep.cold`` is
+# the baseline for both fast paths a sweep can take: one warm LP
+# session across the points, or the points fanned out over threads.
+# Each setup runs the sweep once, untimed, to build the instance and
+# fill the tunnel cache, so the workloads time LP solves only.
 # ----------------------------------------------------------------------
-#: Instance for the warm-vs-cold sweep pair.  Deliberately bigger than
-#: the ``te`` layer default: support reduction only pays once the LP is
-#: large enough that a reduced solve is much cheaper than a full one.
+#: Instance for the sweep workloads.  Bigger than the store pair's:
+#: support reduction only pays once the LP is large enough that a
+#: reduced solve is much cheaper than a full one.
 LP_SWEEP_INSTANCE = "Kdl"
 LP_SWEEP_COMMODITIES = 200
 
-#: Scale factors for the warm-vs-cold sweep pair: enough near-identical
-#: points that session reuse amortises the one cold solve per chain.
+#: Scale factors for the sweep workloads: enough near-identical points
+#: that session reuse amortises the one cold solve per chain.
 LP_SWEEP_SCALES = tuple(round(0.5 + 0.1 * i, 1) for i in range(12))
 
 
@@ -362,8 +274,8 @@ def _lp_sweep_instance():
     )
 
 
-def _lp_sweep(warm: bool) -> Dict[str, object]:
-    """One pf4 scale sweep over :data:`LP_SWEEP_SCALES`; cold or warm."""
+def _lp_sweep(warm: bool = False, workers: int = 1) -> Dict[str, object]:
+    """One pf4 scale sweep over :data:`LP_SWEEP_SCALES`."""
     from repro.te.demandscale import scale_sweep
 
     instance = _lp_sweep_instance()
@@ -372,6 +284,7 @@ def _lp_sweep(warm: bool) -> Dict[str, object]:
         instance.traffic,
         "pf4",
         scales=list(LP_SWEEP_SCALES),
+        workers=workers,
         warm_start=warm,
     )
     return {
@@ -380,34 +293,37 @@ def _lp_sweep(warm: bool) -> Dict[str, object]:
     }
 
 
-def _prime_lp_sweep() -> None:
-    """Untimed: build the instance and fill the tunnel cache, so both
-    pair members time LP solves rather than k-shortest-paths."""
-    _lp_sweep(warm=False)
-
-
 @benchmark(
-    "lp.warm_vs_cold.cold",
+    "lp.sweep.cold",
     layer="lp",
     description="pf4 scale sweep, every point solved cold",
-    setup=_prime_lp_sweep,
-    tags=("lp-session", "sweep"),
+    setup=_lp_sweep,
 )
 def bench_lp_sweep_cold() -> Dict[str, object]:
-    """Cold half of the warm-vs-cold sweep pair."""
-    return _lp_sweep(warm=False)
+    """The baseline both sweep fast paths are measured against."""
+    return _lp_sweep()
 
 
 @benchmark(
-    "lp.warm_vs_cold.warm",
+    "lp.sweep.warm",
     layer="lp",
     description="pf4 scale sweep, one warm LP session across all points",
-    setup=_prime_lp_sweep,
-    tags=("lp-session", "sweep"),
+    setup=_lp_sweep,
 )
 def bench_lp_sweep_warm() -> Dict[str, object]:
-    """Warm half of the warm-vs-cold sweep pair."""
+    """The warm-session fast path on the identical sweep."""
     return _lp_sweep(warm=True)
+
+
+@benchmark(
+    "lp.sweep.threads",
+    layer="lp",
+    description="pf4 scale sweep, points solved cold on 2 threads",
+    setup=_lp_sweep,
+)
+def bench_lp_sweep_threads() -> Dict[str, object]:
+    """The thread fan-out ``repro te --sweep --workers 2`` takes."""
+    return _lp_sweep(workers=2)
 
 
 def ncflow_scaling_rows(
@@ -505,6 +421,23 @@ def demand_scale_series(
 # write-through; ``warm`` starts every iteration with an empty memory
 # cache and a populated store, so it pays only the verified disk read.
 # ----------------------------------------------------------------------
+#: Instance for the store pair: small enough that a tunnel lookup is a
+#: few milliseconds, so the disk read is what the warm side times.
+STORE_INSTANCE = "B4"
+STORE_COMMODITIES = 30
+
+
+@lru_cache(maxsize=None)
+def _store_instance():
+    from repro.netmodel.instances import make_te_instance
+
+    return make_te_instance(
+        STORE_INSTANCE,
+        max_commodities=STORE_COMMODITIES,
+        total_demand_fraction=TE_LOAD,
+    )
+
+
 @lru_cache(maxsize=None)
 def _bench_store(variant: str):
     """A scratch :class:`repro.store.ArtifactStore` per workload variant.
@@ -525,7 +458,7 @@ def _store_tunnel_lookup(variant: str) -> Dict[str, object]:
     """One tunnel lookup through a fresh memory cache + the variant's store."""
     from repro.te.tunnelcache import TunnelCache
 
-    instance = _te_instance()
+    instance = _store_instance()
     cache = TunnelCache(store=_bench_store(variant))
     tunnels = cache.lookup(instance.topology, instance.traffic, 4)
     return {"commodities": len(tunnels)}
@@ -533,9 +466,9 @@ def _store_tunnel_lookup(variant: str) -> Dict[str, object]:
 
 @benchmark(
     "store.tunnels.cold", layer="store",
-    description=f"tunnel lookup, empty store: Yen + write-through, {TE_INSTANCE}",
+    description="tunnel lookup, empty store: Yen + write-through, "
+                f"{STORE_INSTANCE}",
     pre_iteration=lambda: _bench_store("cold").clear(),
-    tags=("store-cold",),
 )
 def bench_store_tunnels_cold() -> Dict[str, object]:
     """The store's write path: compute tunnels, persist them atomically."""
@@ -544,100 +477,13 @@ def bench_store_tunnels_cold() -> Dict[str, object]:
 
 @benchmark(
     "store.tunnels.warm", layer="store",
-    description=f"tunnel lookup, populated store: verified read, {TE_INSTANCE}",
+    description="tunnel lookup, populated store: verified read, "
+                f"{STORE_INSTANCE}",
     setup=lambda: _store_tunnel_lookup("warm"),
-    tags=("store-warm",),
 )
 def bench_store_tunnels_warm() -> Dict[str, object]:
     """The store's read path: integrity-verified disk hit, no Yen."""
     return _store_tunnel_lookup("warm")
-
-
-@benchmark(
-    "store.put_get", layer="store",
-    description="artifact put + verified get round-trip, 64-entry payload",
-)
-def bench_store_put_get() -> Dict[str, object]:
-    """Raw store overhead: canonical encode, digest, write, verified read."""
-    store = _bench_store("roundtrip")
-    payload = [
-        [f"n{i}", f"m{i}", [[f"n{i}", "via", f"m{i}"]]] for i in range(64)
-    ]
-    store.put("bench/roundtrip", payload)
-    got = store.get("bench/roundtrip")
-    return {"entries": len(got)}
-
-
-# ----------------------------------------------------------------------
-# Parallel layer
-# ----------------------------------------------------------------------
-_FANOUT_TASKS = 16
-_FANOUT_WORK = 25_000
-
-
-def _fanout(workers: int) -> Dict[str, object]:
-    from repro.parallel import run_ordered
-
-    def work() -> int:
-        return sum(i * i for i in range(_FANOUT_WORK))
-
-    results = run_ordered([work] * _FANOUT_TASKS, workers=workers)
-    return {
-        "tasks": _FANOUT_TASKS,
-        "workers": workers,
-        "checksum": sum(results) % 1_000_003,
-    }
-
-
-@benchmark(
-    "parallel.fanout_serial", layer="parallel",
-    description=f"run_ordered, {_FANOUT_TASKS} CPU tasks, workers=1",
-)
-def bench_parallel_fanout_serial() -> Dict[str, object]:
-    """Serial baseline for the fan-out overhead comparison."""
-    return _fanout(workers=1)
-
-
-@benchmark(
-    "parallel.fanout_threads", layer="parallel",
-    description=f"run_ordered, {_FANOUT_TASKS} CPU tasks, workers=4",
-)
-def bench_parallel_fanout_threads() -> Dict[str, object]:
-    """Thread fan-out of the identical task list (pool + ordering cost)."""
-    return _fanout(workers=4)
-
-
-# ----------------------------------------------------------------------
-# Pipeline layer
-# ----------------------------------------------------------------------
-@benchmark(
-    "pipeline.participant", layer="pipeline",
-    description="simulated-LLM reproduction of APKeep (participant C), end to end",
-)
-def bench_pipeline_participant() -> Dict[str, object]:
-    """One full pipeline run: prompts, debugging, assembly, validation."""
-    from repro.experiments import run_participant
-
-    report = run_participant("C")
-    return {
-        "succeeded": report.succeeded,
-        "prompts": report.num_prompts,
-    }
-
-
-@benchmark(
-    "pipeline.motivating", layer="pipeline",
-    description="the rock-paper-scissors motivating example session",
-)
-def bench_pipeline_motivating() -> Dict[str, object]:
-    """Replay the motivating example's four-prompt session."""
-    from repro.motivating import run_motivating_session
-
-    result = run_motivating_session()
-    return {
-        "prompts": result.num_prompts,
-        "total_loc": result.total_loc,
-    }
 
 
 # ----------------------------------------------------------------------
@@ -698,135 +544,10 @@ def bench_obs_span_disabled() -> Dict[str, object]:
 
 
 # ----------------------------------------------------------------------
-# fuzz: differential-gate throughput
-# ----------------------------------------------------------------------
-_FUZZ_CASES = 4
-
-
-@benchmark(
-    "fuzz.cases_per_second", layer="fuzz",
-    description=f"{_FUZZ_CASES}-case sweep through the fast dataplane "
-                "and TE-bounds oracles",
-)
-def bench_fuzz_cases_per_second() -> Dict[str, object]:
-    """Throughput of the standing differential gate's hot loop.
-
-    A fixed seed window through the cheap oracle subset (no
-    minimization, no store) times exactly what a CI fuzz-smoke second
-    buys; the oracle-run count is the checksum, so a silently skipped
-    oracle fails the artifact comparison.
-    """
-    from repro.fuzz import run_fuzz
-
-    report = run_fuzz(
-        seed=7,
-        cases=_FUZZ_CASES,
-        oracle_filter=[
-            "ap.vs-apkeep", "apkeep.incremental-vs-batch", "te.bounds",
-        ],
-        minimize=False,
-    )
-    if not report.ok:
-        raise AssertionError("fuzz bench sweep found failures:\n"
-                             + report.render())
-    return {
-        "cases": report.cases_run,
-        "oracle_runs": report.oracle_runs,
-        "checksum": report.oracle_runs,
-    }
-
-
-# ----------------------------------------------------------------------
-# serve: service-tier throughput
-# ----------------------------------------------------------------------
-#: Jobs per timed pool iteration: enough to amortise dispatch overhead,
-#: small enough that the catalogue still smoke-runs in seconds.
-_SERVE_JOBS = 8
-
-
-def _serve_job_specs():
-    from repro.serve import JobSpec
-
-    # CPU-bound spin probes with distinct seeds: no store/memo layer
-    # can collapse the batch, so every iteration runs all of them on
-    # the spawn workers.
-    return [
-        JobSpec("probe", {"action": "spin"}, seed=index)
-        for index in range(_SERVE_JOBS)
-    ]
-
-
-def _serve_batch_checksum(outcomes) -> str:
-    import hashlib
-
-    digest = hashlib.blake2b(digest_size=8)
-    for outcome in outcomes:
-        digest.update(outcome.payload["digest"].encode())
-    return digest.hexdigest()
-
-
-@benchmark(
-    "serve.pool.multiprocess", layer="serve",
-    description=f"{_SERVE_JOBS}-job batch through the spawn worker pool",
-    setup=lambda: __import__("repro.serve", fromlist=["shared_pool"])
-    .shared_pool(workers=2).start(),
-)
-def bench_serve_pool_multiprocess() -> Dict[str, object]:
-    """An ordered batch of spin jobs on spawned worker processes.
-
-    Uses the process-wide shared pool (started untimed in ``setup``) so
-    iterations time job dispatch + execution + result transport, not
-    interpreter start.
-    """
-    from repro.serve import run_jobs, shared_pool
-
-    pool = shared_pool(workers=2)
-    outcomes = run_jobs(_serve_job_specs(), pool=pool)
-    if not all(outcome.ok for outcome in outcomes):
-        raise AssertionError("serve bench batch had failures")
-    return {"jobs": len(outcomes),
-            "checksum": _serve_batch_checksum(outcomes)}
-
-
-@benchmark(
-    "serve.http.roundtrip", layer="serve",
-    description="submit -> wait -> result over live HTTP, one probe job",
-)
-def bench_serve_http_roundtrip() -> Dict[str, object]:
-    """Full client-observed service latency for one trivial job.
-
-    One daemon with one spawn worker is kept on the function object
-    across iterations (a daemon per iteration would time socket binding
-    and worker boot, not the service), so the timed body is exactly the
-    client round trip the ``repro submit --wait`` flow performs.
-    """
-    from repro.serve import ReproDaemon, ServeClient
-
-    daemon = getattr(bench_serve_http_roundtrip, "_daemon", None)
-    if daemon is None:
-        daemon = ReproDaemon(workers=1)
-        daemon.start()
-        bench_serve_http_roundtrip._daemon = daemon
-    client = ServeClient(daemon.url)
-    seed = getattr(bench_serve_http_roundtrip, "_seed", 0)
-    bench_serve_http_roundtrip._seed = seed + 1
-    record = client.submit("probe", {"action": "ok"}, seed=seed)
-    final = client.wait(record["id"], timeout=30.0)
-    if final["state"] != "completed":
-        raise AssertionError(f"roundtrip job failed: {final}")
-    payload = client.result(final["id"])["payload"]
-    return {"jobs": 1, "checksum": int(payload["ok"])}
-
-
-# ----------------------------------------------------------------------
 # Shard layer: partitioned data-plane verification
 # ----------------------------------------------------------------------
 #: Reachability sources the shard verify pair answers for.
 _SHARD_SOURCES = 4
-
-#: Updates per streaming-burst iteration (insert/remove pairs, so the
-#: data plane returns to its initial state after every iteration).
-_SHARD_BURST = 24
 
 
 @lru_cache(maxsize=None)
@@ -864,7 +585,6 @@ def _shard_doc_checksum(document) -> str:
     "shard.verify.whole", layer="shard",
     description="unsharded APVerifier: build + reachability/blackhole "
                 "documents, 64-device random data plane",
-    tags=("shard-pair",),
 )
 def bench_shard_verify_whole() -> Dict[str, object]:
     """Baseline of the sharded-beats-whole pair: one engine, one thread.
@@ -890,7 +610,6 @@ def bench_shard_verify_whole() -> Dict[str, object]:
                 "documents as shard.verify.whole",
     setup=lambda: __import__("repro.serve", fromlist=["shared_pool"])
     .shared_pool(workers=2).start(),
-    tags=("shard-pair",),
 )
 def bench_shard_verify_sharded() -> Dict[str, object]:
     """The other side of the pair: shard-local engines, spawn fan-out.
@@ -910,51 +629,6 @@ def bench_shard_verify_sharded() -> Dict[str, object]:
     return {
         "rules": dataset.total_rules,
         "checksum": _shard_doc_checksum(document),
-    }
-
-
-@benchmark(
-    "shard.stream.burst", layer="shard",
-    description=f"{_SHARD_BURST}-update streaming burst, per-update "
-                "re-verification latency (p95 in meta)",
-)
-def bench_shard_stream_burst() -> Dict[str, object]:
-    """Bounded-latency incremental path: one rule-change burst.
-
-    A :class:`repro.shard.StreamingVerifier` is kept on the function
-    object (building per-shard APKeep state is setup, not the measured
-    path); each iteration applies insert/remove pairs that cancel, so
-    every burst starts from the identical data plane.  ``p95_ms`` is
-    the per-update end-to-end re-verification latency the CI streaming
-    check bounds.
-    """
-    from repro.netmodel.datasets import random_dataset
-    from repro.netmodel.headerspace import HEADER_BITS, Prefix
-    from repro.netmodel.rules import ForwardingRule
-    from repro.shard import StreamingVerifier
-
-    streamer = getattr(bench_shard_stream_burst, "_streamer", None)
-    if streamer is None:
-        dataset = random_dataset(
-            num_nodes=10, rules_per_device=60, seed=11, acl_fraction=0.3,
-            name="bench-stream",
-        )
-        streamer = StreamingVerifier(dataset, shards=2)
-        bench_shard_stream_burst._streamer = streamer
-
-    nodes = sorted(streamer.dataset.devices)
-    burst = []
-    for k in range(_SHARD_BURST // 2):
-        node = nodes[k % len(nodes)]
-        port = streamer.dataset.topology.successors(node)[0]
-        prefix = Prefix((k << (HEADER_BITS - 8)) & 0xFF00, 8)
-        rule = ForwardingRule(prefix, port, priority=90 + k)
-        burst.append(("insert", node, rule))
-        burst.append(("remove", node, rule))
-    report = streamer.apply_burst(burst)
-    return {
-        "updates": report["burst"],
-        "p95_ms": round(report["p95"] * 1e3, 3),
     }
 
 
@@ -983,7 +657,6 @@ def _shard_store_verify(variant: str) -> Dict[str, object]:
     description="2-shard artifact build, empty store: full BDD work + "
                 "write-through, 100k-rule large preset",
     pre_iteration=lambda: _bench_store("shard-cold").clear(),
-    tags=("store-cold",),
     repeat=2,
 )
 def bench_shard_build_cold() -> Dict[str, object]:
@@ -996,7 +669,6 @@ def bench_shard_build_cold() -> Dict[str, object]:
     description="2-shard artifact load, populated store: no BDD engine "
                 "touched, 100k-rule large preset",
     setup=lambda: _shard_store_verify("shard-warm"),
-    tags=("store-warm",),
 )
 def bench_shard_build_warm() -> Dict[str, object]:
     """The read path the ``shard/1`` key family buys: a warm store turns

@@ -28,7 +28,7 @@ explore the reproduction without writing code:
   (``--filter``/``--repeat``/``--save``/``--baseline``), list the
   workload catalogue (``--list``), or diff two saved artifacts
   (``--compare``) with regression gating; ``--baseline`` with no path
-  (or ``--compare`` with one) auto-discovers the newest committed
+  (or ``--compare`` with one) auto-discovers the newest other
   ``BENCH_*.json``;
 * ``store``        -- inspect and maintain a persistent artifact store
   (``ls``/``stats``/``verify``/``gc``/``clear``);
@@ -330,8 +330,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     bench.add_argument(
         "--filter", metavar="EXPR", default=None,
-        help="comma-separated needles matched against benchmark "
-             "name/layer/tags (e.g. 'bdd', 'te-warm', 'pf4')",
+        help="comma-separated needles, each a benchmark name substring "
+             "or a layer (e.g. 'bdd', 'te.tunnels', 'lp.sweep')",
     )
     bench.add_argument(
         "--repeat", type=int, default=None, metavar="N",
@@ -350,13 +350,13 @@ def build_parser() -> argparse.ArgumentParser:
         "--baseline", nargs="?", const="", metavar="ARTIFACT", default=None,
         help="after running, compare against a saved artifact and exit "
              "nonzero on regressions (no path: the newest BENCH_*.json "
-             "in the current directory)",
+             "in the current directory other than the one --save wrote)",
     )
     bench.add_argument(
         "--compare", nargs="+", metavar="ARTIFACT", default=None,
         help="compare two saved artifacts without running anything "
              "(one path: it is CURRENT, the baseline is the newest "
-             "BENCH_*.json in the current directory)",
+             "other BENCH_*.json in the current directory)",
     )
     bench.add_argument(
         "--threshold", type=float, default=1.5, metavar="RATIO",
@@ -366,10 +366,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--min-seconds", type=float, default=0.002, metavar="S",
         help="ignore benchmarks faster than this on both sides "
              "(default 0.002)",
-    )
-    bench.add_argument(
-        "--stat", choices=["min", "median", "mean"], default="median",
-        help="statistic the comparison ratio uses (default median)",
     )
 
     store = add_parser(
@@ -982,9 +978,19 @@ def cmd_trace_view(args, out) -> int:
 def cmd_bench(args, out) -> int:
     from repro import bench
 
-    thresholds = bench.Thresholds(
-        ratio=args.threshold, min_seconds=args.min_seconds, stat=args.stat
-    )
+    try:
+        thresholds = bench.Thresholds(
+            ratio=args.threshold, min_seconds=args.min_seconds
+        )
+    except ValueError as exc:
+        out.write(f"error: {exc}\n")
+        return 2
+    if args.repeat is not None and args.repeat < 1:
+        out.write("error: --repeat must be >= 1\n")
+        return 2
+    if args.warmup < 0:
+        out.write("error: --warmup must be >= 0\n")
+        return 2
 
     def gate(baseline, current) -> int:
         report = bench.compare_artifacts(baseline, current, thresholds)
@@ -997,9 +1003,11 @@ def cmd_bench(args, out) -> int:
             return 2
         try:
             if len(args.compare) == 1:
-                baseline_path = bench.find_latest_artifact()
-                out.write(f"baseline: {baseline_path}\n")
                 current_path = args.compare[0]
+                baseline_path = bench.find_latest_artifact(
+                    exclude=current_path
+                )
+                out.write(f"baseline: {baseline_path}\n")
             else:
                 baseline_path, current_path = args.compare
             baseline = bench.read_artifact(baseline_path)
@@ -1029,13 +1037,16 @@ def cmd_bench(args, out) -> int:
         "warmup": args.warmup,
         "filter": args.filter,
     }
+    written = None
     if args.save is not None:
         path = args.save or bench.default_artifact_path()
         written = bench.write_artifact(path, results, profile=profile)
         out.write(f"artifact: wrote {len(results)} benchmarks to {written}\n")
     if args.baseline is not None:
         try:
-            baseline_path = args.baseline or bench.find_latest_artifact()
+            baseline_path = args.baseline or bench.find_latest_artifact(
+                exclude=written
+            )
             if not args.baseline:
                 out.write(f"baseline: {baseline_path}\n")
             baseline = bench.read_artifact(baseline_path)

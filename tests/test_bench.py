@@ -42,14 +42,6 @@ class TestRegistry:
         layers = {bench.get_spec(name).layer for name in names}
         assert layers == set(LAYERS)
 
-    def test_te_benchmarks_track_the_solver_registry(self):
-        from repro.te import registry as te_registry
-
-        bench.discover()
-        names = set(bench.benchmark_names())
-        for solver in te_registry.solver_names():
-            assert any(n.startswith(f"te.{solver}.") for n in names), solver
-
     def test_unknown_name_suggests_close_matches(self):
         bench.discover()
         with pytest.raises(UnknownBenchmarkError) as info:
@@ -59,10 +51,10 @@ class TestRegistry:
 
     def test_select_filters_by_comma_separated_needles(self):
         bench.discover()
-        selected = bench.select("bdd,ap.")
+        selected = bench.select("bdd,store.tunnels")
         names = [spec.name for spec in selected]
-        assert "bdd.build_apply" in names and "ap.build" in names
-        assert all("bdd" in n or "ap." in n for n in names)
+        assert "bdd.build_apply" in names and "store.tunnels.warm" in names
+        assert all("bdd" in n or "store.tunnels" in n for n in names)
         assert bench.select("") == bench.select(None)
 
     def test_register_rejects_duplicates_unless_replace(self):
@@ -140,7 +132,7 @@ class TestRunner:
 
     def test_workloads_are_deterministic(self):
         bench.discover()
-        spec = bench.get_spec("apkeep.update_burst")
+        spec = bench.get_spec("bdd.build_apply")
         first = run_benchmark(spec, repeat=1, warmup=0)
         second = run_benchmark(spec, repeat=1, warmup=0)
         assert first.meta == second.meta
@@ -282,20 +274,11 @@ class TestCompare:
         )
         assert report.ok and report.deltas[0].status == "faster"
 
-    def test_configurable_stat(self):
-        baseline = artifact_with({"a": 0.1})
-        current = artifact_with({"a": 0.1})
-        current["benchmarks"]["a"]["stats"]["min"] = 0.5
-        assert compare_artifacts(baseline, current).ok
-        assert not compare_artifacts(
-            baseline, current, Thresholds(stat="min")
-        ).ok
-
     def test_threshold_validation(self):
         with pytest.raises(ValueError):
             Thresholds(ratio=1.0)
         with pytest.raises(ValueError):
-            Thresholds(stat="max")
+            Thresholds(min_seconds=-1.0)
 
 
 class TestBenchCLI:
@@ -309,7 +292,10 @@ class TestBenchCLI:
     def test_list_renders_catalogue(self):
         code, text = self.run_cli(["bench", "--list"])
         assert code == 0
-        for name in ("bdd.build_apply", "te.pf4.warm", "pipeline.motivating"):
+        for name in (
+            "bdd.build_apply", "te.tunnels.warm", "lp.sweep.threads",
+            "shard.verify.sharded", "obs.span_disabled",
+        ):
             assert name in text
 
     def test_empty_selection_is_a_usage_error(self):
@@ -320,13 +306,13 @@ class TestBenchCLI:
     def test_save_produces_a_valid_artifact(self, tmp_path):
         path = tmp_path / "out.json"
         code, text = self.run_cli([
-            "bench", "--filter", "apkeep", "--repeat", "1",
+            "bench", "--filter", "store.tunnels", "--repeat", "1",
             "--save", str(path),
         ])
         assert code == 0
         artifact = read_artifact(path)  # validates on read
         assert set(artifact["benchmarks"]) == {
-            "apkeep.build", "apkeep.update_burst",
+            "store.tunnels.cold", "store.tunnels.warm",
         }
         assert str(path) in text
 
@@ -350,11 +336,11 @@ class TestBenchCLI:
     def test_baseline_gate_fails_on_missing_benchmarks(self, tmp_path):
         path = tmp_path / "baseline.json"
         self.run_cli([
-            "bench", "--filter", "apkeep", "--repeat", "1",
+            "bench", "--filter", "store.tunnels", "--repeat", "1",
             "--save", str(path),
         ])
         code, text = self.run_cli([
-            "bench", "--filter", "apkeep.build", "--repeat", "1",
+            "bench", "--filter", "store.tunnels.cold", "--repeat", "1",
             "--baseline", str(path),
         ])
         assert code == 1
@@ -363,7 +349,7 @@ class TestBenchCLI:
     def test_self_compare_passes(self, tmp_path):
         path = tmp_path / "baseline.json"
         self.run_cli([
-            "bench", "--filter", "apkeep", "--repeat", "1",
+            "bench", "--filter", "store.tunnels", "--repeat", "1",
             "--save", str(path),
         ])
         code, text = self.run_cli(["bench", "--compare", str(path), str(path)])
@@ -380,14 +366,14 @@ class TestBenchCLI:
     def test_baseline_without_path_discovers_latest(self, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)
         self.run_cli([
-            "bench", "--filter", "apkeep.build", "--repeat", "1",
+            "bench", "--filter", "store.tunnels.cold", "--repeat", "1",
             "--save", "BENCH_abc.json",
         ])
         # The subject is baseline *discovery*; a generous threshold
         # keeps single-iteration timing noise on a loaded machine from
         # turning the self-comparison into a flake.
         code, text = self.run_cli([
-            "bench", "--filter", "apkeep.build", "--repeat", "1",
+            "bench", "--filter", "store.tunnels.cold", "--repeat", "1",
             "--baseline", "--threshold", "5.0",
         ])
         assert code == 0
@@ -398,35 +384,104 @@ class TestBenchCLI:
     ):
         monkeypatch.chdir(tmp_path)
         code, text = self.run_cli([
-            "bench", "--filter", "apkeep.build", "--repeat", "1", "--baseline",
+            "bench", "--filter", "store.tunnels.cold", "--repeat", "1",
+            "--baseline",
         ])
         assert code == 2
         assert "save one first" in text
 
-    def test_compare_with_one_path_uses_latest_as_baseline(
+    def test_compare_with_one_path_needs_an_older_artifact(
         self, tmp_path, monkeypatch
     ):
         monkeypatch.chdir(tmp_path)
         self.run_cli([
-            "bench", "--filter", "apkeep.build", "--repeat", "1",
+            "bench", "--filter", "store.tunnels.cold", "--repeat", "1",
             "--save", "BENCH_abc.json",
         ])
+        # The only artifact is CURRENT itself, never its own baseline.
         code, text = self.run_cli(["bench", "--compare", "BENCH_abc.json"])
-        assert code == 0
-        assert "baseline: BENCH_abc.json" in text
+        assert code == 2
+        assert "save one first" in text
+
+    def test_implicit_baseline_is_the_previous_artifact(
+        self, tmp_path, monkeypatch
+    ):
+        monkeypatch.chdir(tmp_path)
+        run = ["bench", "--filter", "bdd.build", "--repeat", "1"]
+        self.run_cli(run + ["--save", "BENCH_old.json"])
+        old = json.loads(Path("BENCH_old.json").read_text())
+        for entry in old["benchmarks"].values():
+            entry["stats"] = {k: v / 10 for k, v in entry["stats"].items()}
+        old["created_unix"] -= 100
+        Path("BENCH_old.json").write_text(json.dumps(old))
+
+        code, text = self.run_cli(
+            run + ["--save", "BENCH_new.json", "--baseline"]
+        )
+        assert code == 1, text
+        assert "baseline: BENCH_old.json" in text and "REGRESSION" in text
+        code, text = self.run_cli(["bench", "--compare", "BENCH_new.json"])
+        assert code == 1, text
+        assert "baseline: BENCH_old.json" in text and "REGRESSION" in text
 
     def test_compare_with_three_paths_is_a_usage_error(self, tmp_path):
         code, text = self.run_cli(["bench", "--compare", "a", "b", "c"])
         assert code == 2
         assert "error" in text
 
+    @pytest.mark.parametrize("stats", [
+        {"min": 0.1, "mean": 0.1, "stddev": 0.0},
+        {"min": 0.1, "median": "fast", "mean": 0.1, "stddev": 0.0},
+    ], ids=["no-median", "non-numeric-median"])
+    def test_artifact_without_numeric_median_is_a_usage_error(
+        self, tmp_path, stats
+    ):
+        good = tmp_path / "good.json"
+        good.write_text(json.dumps(artifact_with({"a": 0.1})))
+        broken = artifact_with({"a": 0.1})
+        broken["benchmarks"]["a"]["stats"] = stats
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(broken))
+        code, text = self.run_cli(["bench", "--compare", str(good), str(bad)])
+        assert code == 2
+        assert "error:" in text and "median" in text
+
+    @pytest.mark.parametrize("flags", [
+        ["--repeat", "0"], ["--warmup", "-1"], ["--threshold", "1.0"],
+    ], ids=["repeat-0", "warmup-negative", "threshold-1"])
+    def test_out_of_range_flag_is_a_usage_error(self, flags):
+        code, text = self.run_cli(["bench", "--filter", "bdd.build"] + flags)
+        assert code == 2
+        assert text.startswith("error:")
+
     def test_store_benchmarks_are_registered(self):
         code, text = self.run_cli(["bench", "--list"])
         assert code == 0
-        for name in (
-            "store.put_get", "store.tunnels.cold", "store.tunnels.warm",
-        ):
+        for name in ("store.tunnels.cold", "store.tunnels.warm"):
             assert name in text
+
+
+class TestPairs:
+    """Both sides of a pair compute the same answer; the counters show
+    the fast path was taken."""
+
+    def run(self, name):
+        bench.discover()
+        return run_benchmark(bench.get_spec(name), repeat=1, warmup=0)
+
+    def test_tunnel_pair_agrees_and_only_the_cold_side_misses(self):
+        cold = self.run("te.tunnels.cold")
+        warm = self.run("te.tunnels.warm")
+        assert warm.meta["objectives"] == cold.meta["objectives"]
+        assert warm.metrics.get("tunnel_cache.hit", 0) > 0
+        assert "tunnel_cache.miss" not in warm.metrics
+        assert cold.metrics["tunnel_cache.miss"] >= cold.meta["intervals"]
+
+    def test_threaded_sweep_matches_the_cold_sweep_exactly(self):
+        cold = self.run("lp.sweep.cold")
+        threads = self.run("lp.sweep.threads")
+        assert threads.meta["objectives"] == cold.meta["objectives"]
+        assert len(cold.meta["objectives"]) == cold.meta["points"]
 
 
 class TestRepoLints:

@@ -346,15 +346,3 @@ class TestCli:
         code, text = self.run_cli(["fuzz", "repro"])
         assert code == 2
 
-
-# ----------------------------------------------------------------------
-# Bench registration
-# ----------------------------------------------------------------------
-class TestBench:
-    def test_fuzz_workload_registered(self):
-        from repro import bench
-
-        bench.discover()
-        specs = bench.select("fuzz.cases_per_second")
-        assert len(specs) == 1
-        assert specs[0].layer == "fuzz"
